@@ -48,7 +48,7 @@ DeadlockDiagnosis diagnose_deadlock(const iss::Processor& cpu,
 
 void CoSimEngine::reset(Addr pc) {
   cpu_.reset(pc);
-  hardware_.reset();
+  if (hardware_ != nullptr) hardware_->reset();
   bridge_.hub().clear();
   hw_cycles_ = 0;
   idle_streak_ = 0;
@@ -57,6 +57,7 @@ void CoSimEngine::reset(Addr pc) {
 }
 
 void CoSimEngine::tick_hardware(Cycle cycles) {
+  if (hardware_ == nullptr) return;
   Cycle skipped_this_call = 0;
   for (Cycle i = 0; i < cycles; ++i) {
     if (quiescence_window_ > 0) {
@@ -72,7 +73,7 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
     }
     if (trace_bus_ != nullptr) trace_bus_->set_time(hw_cycles_);
     bridge_.pre_cycle();
-    hardware_.step();
+    hardware_->step();
     bridge_.post_cycle();
     ++hw_cycles_;
   }
@@ -92,12 +93,15 @@ iss::StepResult CoSimEngine::debug_step() {
   return result;
 }
 
-StopReason CoSimEngine::run(Cycle max_cycles) {
+StopReason CoSimEngine::run(Cycle max_cycles, std::optional<Addr> stop_pc) {
   Cycle blocked_streak = 0;
   u64 last_traffic = bridge_.stats().words_to_hw +
                      bridge_.stats().words_from_hw;
   while (!cpu_.halted() && cpu_.cycle() < max_cycles) {
-    if (cpu_.fast_path_available()) {
+    if (stop_pc) {
+      // A batch could run past the stop PC: stay on the precise path.
+      if (cpu_.pc() == *stop_pc) return StopReason::kCycleLimit;
+    } else if (cpu_.fast_path_available()) {
       // Multi-cycle quantum: run the CPU ahead through code that cannot
       // touch the FSL interface, then advance the hardware model by the
       // same number of cycles. The two sides interact only through the
@@ -161,6 +165,9 @@ StopReason CoSimEngine::run(Cycle max_cycles) {
 }
 
 void CoSimEngine::save_state(ckpt::Writer& writer) const {
+  writer.write_bool(hardware_ != nullptr);
+  if (hardware_ == nullptr) return;
+  hardware_->save_state(writer);
   writer.write_u64(hw_cycles_);
   writer.write_u64(idle_streak_);
   writer.write_u64(skipped_cycles_);
@@ -168,11 +175,14 @@ void CoSimEngine::save_state(ckpt::Writer& writer) const {
 }
 
 bool CoSimEngine::load_state(ckpt::Reader& reader) {
+  last_deadlock_.reset();
+  if (reader.read_bool() != (hardware_ != nullptr)) return false;
+  if (hardware_ == nullptr) return reader.ok();
+  if (!hardware_->load_state(reader)) return false;
   hw_cycles_ = reader.read_u64();
   idle_streak_ = reader.read_u64();
   skipped_cycles_ = reader.read_u64();
   if (!bridge_.load_state(reader)) return false;
-  last_deadlock_.reset();
   return reader.ok();
 }
 

@@ -88,11 +88,15 @@ struct DeadlockDiagnosis {
 class CoSimEngine {
  public:
   CoSimEngine(iss::Processor& cpu, sysgen::Model& hardware, fsl::FslHub& hub)
-      : cpu_(cpu), hardware_(hardware), bridge_(hub) {}
+      : cpu_(cpu), hardware_(&hardware), bridge_(hub) {}
+  /// A software-only core: no hardware model, so tick_hardware does
+  /// nothing and hw_cycles_stepped stays 0. The run loop, its deadlock
+  /// heuristic and its trace events are the same as with hardware.
+  CoSimEngine(iss::Processor& cpu, fsl::FslHub& hub)
+      : cpu_(cpu), hardware_(nullptr), bridge_(hub) {}
 
   [[nodiscard]] FslBridge& bridge() noexcept { return bridge_; }
   [[nodiscard]] iss::Processor& cpu() noexcept { return cpu_; }
-  [[nodiscard]] sysgen::Model& hardware() noexcept { return hardware_; }
 
   /// Reset processor (to `pc`), hardware model and FIFOs.
   void reset(Addr pc = 0);
@@ -108,10 +112,16 @@ class CoSimEngine {
   /// sinks attached the engine keeps strict one-step alternation, so
   /// event logs (and their timestamps) are byte-identical to earlier
   /// releases.
-  StopReason run(Cycle max_cycles = ~Cycle{0} >> 1);
+  ///
+  /// With `stop_pc` set the engine takes the precise path only and stops
+  /// *before* executing the instruction at `stop_pc`, returning
+  /// kCycleLimit with cycle() < max_cycles (a fault trigger point).
+  StopReason run(Cycle max_cycles = ~Cycle{0} >> 1,
+                 std::optional<Addr> stop_pc = std::nullopt);
 
   /// Advance the hardware (and bridge) alone by `cycles` clock cycles —
   /// used when the software side is idle and by hardware-only benches.
+  /// A no-op without a hardware model.
   void tick_hardware(Cycle cycles);
 
   /// One precise lock-step unit for a debugger: step the processor once
@@ -155,17 +165,18 @@ class CoSimEngine {
   /// timestamps).
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
 
-  /// Checkpoint the engine's own counters and the bridge (the CPU,
-  /// hardware model and hub are serialized by the owner — see DESIGN.md
-  /// §11). The deadlock diagnosis is diagnostic output, not state: it is
-  /// cleared on restore. Deadlock/quiescence thresholds are
-  /// configuration and are not captured.
+  /// Checkpoint the hardware side: a has-hardware byte, then the model,
+  /// the engine's own counters and the bridge (the CPU and hub are
+  /// serialized by the owner — see DESIGN.md §11). The deadlock
+  /// diagnosis is diagnostic output, not state: it is cleared on
+  /// restore. Deadlock/quiescence thresholds are configuration and are
+  /// not captured.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
   iss::Processor& cpu_;
-  sysgen::Model& hardware_;
+  sysgen::Model* hardware_;  ///< null for a software-only core
   FslBridge bridge_;
   Cycle hw_cycles_ = 0;
   Cycle deadlock_threshold_ = 100'000;

@@ -53,7 +53,7 @@ enum class BatchStop : u8 {
   kHalted,      ///< branch-to-self retired; processor is halted
   kIllegal,     ///< architectural error; processor is halted
   kPrecise,     ///< the fast path is unavailable (trace hook or enabled
-                ///< trace bus attached, or predecode disabled); nothing ran
+                ///< trace bus attached, or the precise tier); nothing ran
 };
 
 struct BatchResult {
@@ -168,8 +168,8 @@ class Processor {
   /// boundary.
   BatchResult run_batch(Cycle max_cycles, bool stop_before_fsl);
 
-  /// True when run_batch would make progress: predecode on, no trace
-  /// hook, no enabled trace bus.
+  /// True when run_batch would make progress: a tier above kPrecise, no
+  /// trace hook, no enabled trace bus.
   [[nodiscard]] bool fast_path_available() const noexcept {
     return predecode_enabled_ && !trace_ &&
            (trace_bus_ == nullptr || !trace_bus_->enabled());
@@ -186,13 +186,6 @@ class Processor {
   /// Counters of the superblock tier (all zero below ExecTier::kDbt).
   [[nodiscard]] const DbtStats& dbt_stats() const noexcept {
     return dbt_stats_;
-  }
-
-  /// Legacy on/off knob, kept for the `--no-predecode` era: `true`
-  /// selects the default tier (kDbt), `false` selects kPrecise.
-  void set_predecode(bool enabled);
-  [[nodiscard]] bool predecode_enabled() const noexcept {
-    return predecode_enabled_;
   }
 
   /// Drop every predecoded entry and retire every translated

@@ -64,9 +64,8 @@ struct CoreDesc {
   bool has_barrel_shifter = true;
   bool has_multiplier = true;
   bool has_divider = false;
-  bool predecode = true;     ///< legacy on/off: false forces the precise tier
-  /// Execution tier when `predecode` is true (JSON key "exec_tier":
-  /// "precise" | "predecode" | "dbt"; see iss::ExecTier).
+  /// Execution tier (JSON key "exec_tier": "precise" | "predecode" |
+  /// "dbt"; see iss::ExecTier).
   iss::ExecTier exec_tier = iss::ExecTier::kDbt;
 };
 

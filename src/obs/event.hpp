@@ -26,7 +26,7 @@ enum class EventKind : u8 {
   // OPB events (bus::OpbBus); addr/wait_states valid.
   kOpbRead,
   kOpbWrite,
-  // Engine events (core::CoSimEngine / SimSystem software-only loop).
+  // Engine events (core::CoSimEngine, software-only cores included).
   kQuiesceSkip,   ///< `skipped` quiescent hardware cycles fast-forwarded
   kDeadlock,      ///< deadlock heuristic fired after `cycles` blocked
   // Fault-injection events (src/fault); `label` carries site/mode or the

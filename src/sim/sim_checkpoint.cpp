@@ -5,7 +5,8 @@
 //   u64 core count          shape check against the built system
 //   per core, in machine order:
 //     cpu, memory, hub      component save_state payloads
-//     bool has engine       + hardware model, engine (iff engaged)
+//     engine                bool has hardware + hardware model, engine
+//                           counters and bridge (iff it has hardware)
 //     bool has opb          + bus and peripheral payloads (iff attached)
 //   bool has machine engine + round progress (iff multi-core)
 //
@@ -46,11 +47,7 @@ std::vector<unsigned char> SimSystem::snapshot() const {
     core->cpu.save_state(writer);
     core->memory.save_state(writer);
     core->hub.save_state(writer);
-    writer.write_bool(core->engine.has_value());
-    if (core->engine) {
-      core->hardware->save_state(writer);
-      core->engine->save_state(writer);
-    }
+    core->engine->save_state(writer);
     writer.write_bool(core->opb != nullptr);
     if (core->opb) core->opb->save_state(writer);
   }
@@ -83,16 +80,9 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (!core->hub.load_state(reader)) {
       return shape_error(prefix + "FSL hub state does not fit");
     }
-    if (reader.read_bool() != core->engine.has_value()) {
-      return shape_error(prefix + "engine presence does not match");
-    }
-    if (core->engine) {
-      if (!core->hardware->load_state(reader)) {
-        return shape_error(prefix + "hardware model state does not fit");
-      }
-      if (!core->engine->load_state(reader)) {
-        return shape_error(prefix + "engine state does not fit");
-      }
+    if (!core->engine->load_state(reader)) {
+      return shape_error(prefix + "hardware model or engine state does not "
+                                  "fit");
     }
     if (reader.read_bool() != (core->opb != nullptr)) {
       return shape_error(prefix + "OPB bus presence does not match");
@@ -100,7 +90,6 @@ Status SimSystem::restore_image(const std::vector<unsigned char>& image) {
     if (core->opb && !core->opb->load_state(reader)) {
       return shape_error(prefix + "OPB bus state does not fit");
     }
-    core->last_deadlock.reset();
   }
   if (reader.read_bool() != state_->machine_engine.has_value()) {
     return shape_error("machine engine presence does not match");

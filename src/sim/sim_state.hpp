@@ -35,7 +35,9 @@ struct SimSystem::State {
           cpu_config(config),
           memory(mem_bytes),
           hub(fifo_depth, hub_prefix),
-          cpu(config, memory, &hub) {}
+          cpu(config, memory, &hub) {
+      engine.emplace(cpu, hub);  // re-emplaced around a hardware model
+    }
 
     std::string name;  ///< stable: TraceBus origin points at it
     assembler::Program program;
@@ -44,14 +46,11 @@ struct SimSystem::State {
     fsl::FslHub hub;
     iss::Processor cpu;
     std::unique_ptr<sysgen::Model> hardware;  ///< null for software-only
-    std::optional<core::CoSimEngine> engine;  ///< engaged iff hardware
+    std::optional<core::CoSimEngine> engine;  ///< always engaged
     std::unique_ptr<bus::OpbBus> opb;         ///< null unless Builder::opb
     unsigned fsl_links = 0;
     obs::TraceBus trace_bus;
     obs::MetricsRegistry* metrics = nullptr;  ///< owned by trace_bus if set
-    /// Deadlock diagnosis of the software-only loop (the engine keeps
-    /// its own); SimSystem::deadlock_diagnosis() merges them.
-    std::optional<core::DeadlockDiagnosis> last_deadlock;
   };
 
   /// The estimator view of one core (its slice of the whole design).
@@ -73,7 +72,7 @@ struct SimSystem::State {
   std::vector<std::unique_ptr<Core>> cores;  ///< machine order, never empty
   machine::MachineDesc desc;                 ///< what this machine is
   /// Engaged iff cores.size() > 1; a lone core runs through its own
-  /// CoSimEngine exactly as it always has.
+  /// CoSimEngine.
   std::optional<core::ManyCoreEngine> machine_engine;
   std::size_t stop_core = 0;   ///< culprit of the last terminal stop
   std::size_t gdb_core = 0;    ///< Builder::gdb_core

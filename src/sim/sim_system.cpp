@@ -44,13 +44,7 @@ SimSystem::~SimSystem() = default;
 
 void SimSystem::reset() {
   for (auto& core : state_->cores) {
-    if (core->engine) {
-      core->engine->reset(core->program.entry());
-    } else {
-      core->cpu.reset(core->program.entry());
-      core->hub.clear();
-    }
-    core->last_deadlock.reset();
+    core->engine->reset(core->program.entry());
     // Return every component to fault-free operation, then re-arm the
     // configured plan with fresh one-shot state for the new run.
     core->hub.clear_faults();
@@ -66,191 +60,71 @@ void SimSystem::reset() {
   }
 }
 
-core::StopReason SimSystem::run_software_only(Cycle max_cycles) {
-  // Mirror of CoSimEngine::run without a hardware side: with no
-  // peripheral attached nothing can ever unblock a blocking FSL access,
-  // so a stall streak of deadlock_threshold cycles is reported as a
-  // deadlock instead of burning the whole cycle budget.
-  State::Core& core = state_->c0();
-  iss::Processor& cpu = core.cpu;
-  Cycle blocked_streak = 0;
-  while (!cpu.halted() && cpu.cycle() < max_cycles) {
-    if (cpu.fast_path_available()) {
-      const iss::BatchResult batch = cpu.run_batch(max_cycles, false);
-      switch (batch.stop) {
-        case iss::BatchStop::kHalted:
-          return core::StopReason::kHalted;
-        case iss::BatchStop::kIllegal:
-          return core::StopReason::kIllegal;
-        case iss::BatchStop::kFslStall:
-          // A stall costs exactly one cycle, so cycles > 1 means the
-          // batch retired instructions first — the streak restarts.
-          blocked_streak = batch.cycles > 1 ? 1 : blocked_streak + 1;
-          if (blocked_streak >= state_->deadlock_threshold) {
-            core.last_deadlock =
-                core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-            return core::StopReason::kDeadlock;  // bus disabled: no event
-          }
-          continue;
-        case iss::BatchStop::kBudget:
-          continue;  // loop condition exits
-        case iss::BatchStop::kFslPending:  // unreachable: stop_before_fsl off
-        case iss::BatchStop::kPrecise:
-          break;  // fall through to the precise step below
-      }
-    }
-    const iss::StepResult result = cpu.step();
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return core::StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return core::StopReason::kIllegal;
-      case iss::Event::kFslStall:
-        if (++blocked_streak >= state_->deadlock_threshold) {
-          core.last_deadlock =
-              core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-          if (core.trace_bus.enabled()) {
-            obs::TraceEvent event;
-            event.kind = obs::EventKind::kDeadlock;
-            event.cycle = cpu.cycle();
-            event.cycles = blocked_streak;
-            event.channel = core.last_deadlock->channel.empty()
-                                ? nullptr
-                                : core.last_deadlock->channel.c_str();
-            core.trace_bus.emit(event);
-          }
-          return core::StopReason::kDeadlock;
-        }
-        break;
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        break;
-    }
-  }
-  return cpu.halted() ? core::StopReason::kHalted
-                      : core::StopReason::kCycleLimit;
-}
-
-core::StopReason SimSystem::run_segment(Cycle max_cycles) {
-  State::Core& core = state_->c0();
-  return core.engine ? core.engine->run(max_cycles)
-                     : run_software_only(max_cycles);
-}
-
-core::StopReason SimSystem::run_faulted(Cycle max_cycles) {
-  State::Core& core = state_->c0();
-  fault::Injector& injector = *state_->injector;
-  const fault::FaultPlan& plan = injector.plan();
-  if (plan.trigger == fault::TriggerKind::kCycle) {
-    // Run to the trigger cycle, inject, continue. If the software ends
-    // before the trigger the fault never fires (masked by timing).
-    const Cycle target = std::min<Cycle>(plan.trigger_value, max_cycles);
-    const core::StopReason before = run_segment(target);
-    if (before != core::StopReason::kCycleLimit) return before;
-    injector.fire(core.cpu, &core.hub, core.opb.get(), &core.trace_bus);
-    return run_segment(max_cycles);
-  }
-  // PC trigger: precise lock-step until the processor is about to
-  // execute the trigger PC. A blocked or runaway program is bounded by
-  // the deadlock threshold / cycle budget, like any other run.
-  iss::Processor& cpu = core.cpu;
-  Cycle blocked_streak = 0;
-  while (!cpu.halted() && cpu.cycle() < max_cycles) {
-    if (cpu.pc() == static_cast<Addr>(plan.trigger_value)) {
-      injector.fire(cpu, &core.hub, core.opb.get(), &core.trace_bus);
-      return run_segment(max_cycles);
-    }
-    const iss::StepResult result =
-        core.engine ? core.engine->debug_step() : cpu.step();
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return core::StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return core::StopReason::kIllegal;
-      case iss::Event::kFslStall:
-        if (++blocked_streak >= state_->deadlock_threshold) {
-          core.last_deadlock =
-              core::diagnose_deadlock(cpu, core.hub, blocked_streak);
-          return core::StopReason::kDeadlock;
-        }
-        break;
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        break;
-    }
-  }
-  return cpu.halted() ? core::StopReason::kHalted
-                      : core::StopReason::kCycleLimit;
-}
-
-core::StopReason SimSystem::run_machine_faulted(Cycle max_cycles) {
-  // Only cycle triggers reach here: build()/arm_fault reject pc
-  // triggers on multi-core machines (a PC is ambiguous across cores).
-  fault::Injector& injector = *state_->injector;
-  State::Core& target_core = *state_->cores[state_->fault_core];
-  const Cycle target =
-      std::min<Cycle>(injector.plan().trigger_value, max_cycles);
-  core::MachineStop stop = state_->machine_engine->run(target);
-  state_->stop_core = stop.core;
-  if (stop.reason != core::StopReason::kCycleLimit) return stop.reason;
-  injector.fire(target_core.cpu, &target_core.hub, target_core.opb.get(),
-                &target_core.trace_bus);
-  stop = state_->machine_engine->run(max_cycles);
-  state_->stop_core = stop.core;
-  return stop.reason;
-}
-
-core::StopReason SimSystem::run_unfaulted(Cycle max_cycles) {
-  if (state_->machine_engine) {
-    const core::MachineStop stop = state_->machine_engine->run(max_cycles);
-    state_->stop_core = stop.core;
-    return stop.reason;
-  }
-  return run_segment(max_cycles);
-}
-
-core::StopReason SimSystem::run_checkpointed(Cycle max_cycles) {
-  // Chunk the run at absolute-cycle checkpoint boundaries. Engine run
-  // targets are per-core clocks, so the next boundary climbs from the
-  // current clock; numbering restarts at 0 each run().
-  u64 seq = 0;
-  for (;;) {
-    const Cycle boundary = stats().cycles + state_->checkpoint_interval;
-    const Cycle target = std::min(boundary, max_cycles);
-    const core::StopReason reason = run_unfaulted(target);
-    if (reason != core::StopReason::kCycleLimit || target == max_cycles) {
-      return reason;
-    }
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, "%06llu.ckpt",
-                  static_cast<unsigned long long>(seq++));
-    if (const Status saved =
-            save_checkpoint(state_->checkpoint_prefix + suffix);
-        !saved.ok) {
-      std::fprintf(stderr, "SimSystem: periodic checkpoint failed: %s\n",
-                   saved.message.c_str());
-    }
-  }
-}
-
 core::StopReason SimSystem::run(Cycle max_cycles) {
   Stopwatch watch;
-  const bool pending_point_fault = state_->injector != nullptr &&
-                                   state_->injector->needs_point_trigger() &&
-                                   !state_->injector->armed_or_fired();
+  State& s = *state_;
+  State::Core& fault_target = *s.cores[s.fault_core];
+  constexpr Cycle kNoCheckpoint = ~Cycle{0};
+  Cycle next_checkpoint = s.checkpoint_interval != 0
+                              ? stats().cycles + s.checkpoint_interval
+                              : kNoCheckpoint;
+  u64 seq = 0;
   core::StopReason reason;
-  if (pending_point_fault) {
-    reason = state_->machine_engine ? run_machine_faulted(max_cycles)
-                                    : run_faulted(max_cycles);
-  } else if (state_->checkpoint_interval != 0) {
-    reason = run_checkpointed(max_cycles);
-  } else {
-    reason = run_unfaulted(max_cycles);
+  for (;;) {
+    // The stop-point schedule: advance to the nearest of the budget, a
+    // pending fault trigger and the next checkpoint boundary.
+    fault::Injector* pending =
+        s.injector != nullptr && s.injector->needs_point_trigger() &&
+                !s.injector->armed_or_fired()
+            ? s.injector.get()
+            : nullptr;
+    const bool cycle_trigger =
+        pending != nullptr &&
+        pending->plan().trigger == fault::TriggerKind::kCycle;
+    Cycle target = std::min(max_cycles, next_checkpoint);
+    std::optional<Addr> stop_pc;
+    if (cycle_trigger) {
+      target = std::min<Cycle>(target, pending->plan().trigger_value);
+    } else if (pending != nullptr) {
+      stop_pc = static_cast<Addr>(pending->plan().trigger_value);
+    }
+    if (s.machine_engine) {
+      // Multi-core machines reject pc triggers at build()/arm_fault.
+      const core::MachineStop stop = s.machine_engine->run(target);
+      s.stop_core = stop.core;
+      reason = stop.reason;
+    } else {
+      reason = s.c0().engine->run(target, stop_pc);
+    }
+    if (reason != core::StopReason::kCycleLimit) break;
+
+    // Fire or save whatever is due at this stop. A cycle trigger fires
+    // once the clock reaches it, however the run was cut; the engine
+    // stops short of `target` only at the trigger PC.
+    const Cycle now = stats().cycles;
+    if (pending != nullptr &&
+        (cycle_trigger ? now >= pending->plan().trigger_value
+                       : now < target)) {
+      pending->fire(fault_target.cpu, &fault_target.hub,
+                    fault_target.opb.get(), &fault_target.trace_bus);
+    }
+    if (next_checkpoint < max_cycles && now >= next_checkpoint) {
+      char suffix[32];
+      std::snprintf(suffix, sizeof suffix, "%06llu.ckpt",
+                    static_cast<unsigned long long>(seq++));
+      if (const Status saved = save_checkpoint(s.checkpoint_prefix + suffix);
+          !saved.ok) {
+        std::fprintf(stderr, "SimSystem: periodic checkpoint failed: %s\n",
+                     saved.message.c_str());
+      }
+      next_checkpoint = now + s.checkpoint_interval;
+    }
+    if (now >= max_cycles) break;
   }
-  state_->last_run_wall_seconds = watch.elapsed_seconds();
+  s.last_run_wall_seconds = watch.elapsed_seconds();
   // Make every attached sink durable after each run: the JSONL/VCD files
   // are complete on disk even if the caller never destroys the system.
-  for (auto& core : state_->cores) core->trace_bus.flush();
+  for (auto& core : s.cores) core->trace_bus.flush();
   return reason;
 }
 
@@ -260,13 +134,7 @@ core::CoSimStats SimSystem::stats() const {
 }
 
 core::CoSimStats SimSystem::core_stats(std::size_t index) const {
-  const State::Core& core = *state_->cores[index];
-  if (core.engine) return core.engine->stats();
-  core::CoSimStats stats;
-  stats.cycles = core.cpu.stats().cycles;
-  stats.instructions = core.cpu.stats().instructions;
-  stats.fsl_stall_cycles = core.cpu.stats().fsl_stall_cycles;
-  return stats;
+  return state_->cores[index]->engine->stats();
 }
 
 obs::TraceBus& SimSystem::trace_bus(std::size_t index) {
@@ -309,8 +177,7 @@ energy::EnergyReport SimSystem::energy_report() const {
         estimate::estimate_system(State::describe(*core));
     const energy::EnergyReport slice = energy::estimate_energy(
         core->cpu.stats(), core->hardware.get(),
-        core->engine ? core->engine->stats().hw_cycles_stepped : 0,
-        report.implemented);
+        core->engine->stats().hw_cycles_stepped, report.implemented);
     total.processor_nj += slice.processor_nj;
     total.peripheral_nj += slice.peripheral_nj;
     total.static_nj += slice.static_nj;
@@ -416,7 +283,7 @@ const sysgen::Model* SimSystem::hardware() const noexcept {
 }
 core::CoSimEngine* SimSystem::engine() noexcept {
   State::Core& core = state_->c0();
-  return core.engine ? &*core.engine : nullptr;
+  return core.hardware ? &*core.engine : nullptr;
 }
 
 fsl::FslHub& SimSystem::fsl_hub() noexcept { return state_->c0().hub; }
@@ -498,11 +365,7 @@ std::optional<core::DeadlockDiagnosis> SimSystem::deadlock_diagnosis() const {
   if (state_->machine_engine && state_->machine_engine->deadlock_diagnosis()) {
     return state_->machine_engine->deadlock_diagnosis();
   }
-  const State::Core& core = state_->c0();
-  if (core.engine && core.engine->deadlock_diagnosis()) {
-    return core.engine->deadlock_diagnosis();
-  }
-  return core.last_deadlock;
+  return state_->c0().engine->deadlock_diagnosis();
 }
 
 Status SimSystem::sink_status() const {
@@ -549,8 +412,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // through ManyCoreEngine::debug_step so cross-links stay live.
   State::Core& debugged = *state_->cores[state_->gdb_core];
   iss::Debugger debugger(debugged.cpu);
-  rsp::CoSimTarget target(debugger,
-                          debugged.engine ? &*debugged.engine : nullptr);
+  rsp::CoSimTarget target(debugger, &*debugged.engine);
   target.set_stall_threshold(state_->deadlock_threshold);
   if (state_->machine_engine) {
     target.set_step_fn([this] {
@@ -709,15 +571,8 @@ SimSystem::Builder& SimSystem::Builder::bind_fsl(unsigned channel,
   return *this;
 }
 
-SimSystem::Builder& SimSystem::Builder::predecode(bool enabled) {
-  predecode_ = enabled;
-  single_core_setter_ = "predecode";
-  return *this;
-}
-
 SimSystem::Builder& SimSystem::Builder::exec_tier(iss::ExecTier tier) {
   exec_tier_ = tier;
-  predecode_ = tier != iss::ExecTier::kPrecise;
   single_core_setter_ = "exec_tier";
   return *this;
 }
@@ -834,7 +689,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
     core.has_barrel_shifter = cpu_config_.has_barrel_shifter;
     core.has_multiplier = cpu_config_.has_multiplier;
     core.has_divider = cpu_config_.has_divider;
-    core.predecode = predecode_;
     core.exec_tier = exec_tier_;
     desc.cores.push_back(std::move(core));
     desc.fifo_depth = fifo_depth_;
@@ -894,19 +748,15 @@ Expected<SimSystem> SimSystem::Builder::build() {
     auto core = std::make_unique<State::Core>(
         core_desc.name, std::move(program), config,
         static_cast<u32>(core_desc.memory_bytes), desc.fifo_depth, hub_prefix);
-    // The legacy predecode flag dominates: false forces the precise
-    // tier regardless of the declared exec_tier.
-    core->cpu.set_exec_tier(core_desc.predecode ? core_desc.exec_tier
-                                                : iss::ExecTier::kPrecise);
+    core->cpu.set_exec_tier(core_desc.exec_tier);
     state->cores.push_back(std::move(core));
   }
   State::Core& c0 = state->c0();
 
   // 2. Hardware. Shared attachment logic: validate a bundle's channel
-  // bindings, then stand up the core's lock-step engine around it.
-  const Cycle threshold = deadlock_threshold_;
-  const auto attach = [threshold](State::Core& core, HardwareBundle bundle,
-                                  const std::string& prefix) -> Status {
+  // bindings, then rebuild the core's lock-step engine around it.
+  const auto attach = [](State::Core& core, HardwareBundle bundle,
+                         const std::string& prefix) -> Status {
     std::set<unsigned> bound;
     unsigned links = 0;
     for (const auto& binding : bundle.channels) {
@@ -966,8 +816,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
       }
     }
     core.engine->set_quiescence_window(bundle.quiescence);
-    core.engine->set_deadlock_threshold(threshold);
-    core.engine->set_trace_bus(&core.trace_bus);
     return {};
   };
 
@@ -1058,11 +906,10 @@ Expected<SimSystem> SimSystem::Builder::build() {
       }
     }
     if (multi) {
-      // Every core of a machine needs a lock-step engine for the
-      // machine engine to drive; peripheral-less cores get an empty
-      // hardware model (zero blocks, zero resources).
+      // Peripheral-less cores of a machine get an empty hardware model
+      // (zero blocks, zero resources), which the machine engine ticks.
       for (auto& core : state->cores) {
-        if (core->engine) continue;
+        if (core->hardware) continue;
         HardwareBundle bundle;
         bundle.model = std::make_unique<sysgen::Model>(core->name + ".none");
         if (Status status =
@@ -1145,6 +992,8 @@ Expected<SimSystem> SimSystem::Builder::build() {
     core->cpu.set_trace_bus(&core->trace_bus);
     core->hub.set_trace_bus(&core->trace_bus);
     if (core->opb) core->opb->set_trace_bus(&core->trace_bus);
+    core->engine->set_trace_bus(&core->trace_bus);
+    core->engine->set_deadlock_threshold(deadlock_threshold_);
   }
   for (auto& extra : extra_sinks_) {
     if (extra != nullptr) c0.trace_bus.add_sink(std::move(extra));

@@ -133,7 +133,11 @@ class SimSystem {
 
   /// Run until the software halts, an architectural error occurs, the
   /// deadlock heuristic fires, or the cycle budget runs out. The system
-  /// is reset at build time; call reset() before re-running.
+  /// is reset at build time; call reset() before re-running. A pending
+  /// cycle/pc fault trigger and Builder::checkpoint_every boundaries are
+  /// stop points inside the run: the fault fires when the clock reaches
+  /// its cycle (or the processor its PC), so cutting a run into several
+  /// run() calls fires it at the same point.
   core::StopReason run(Cycle max_cycles = Cycle{1} << 36);
 
   /// Reset processor, hardware model and FIFOs back to the program entry.
@@ -182,7 +186,8 @@ class SimSystem {
   /// Hardware model; nullptr for a software-only system.
   [[nodiscard]] sysgen::Model* hardware() noexcept;
   [[nodiscard]] const sysgen::Model* hardware() const noexcept;
-  /// Co-simulation engine; nullptr for a software-only system.
+  /// Co-simulation engine; nullptr for a software-only system (its
+  /// internal engine has no hardware model to co-simulate).
   [[nodiscard]] core::CoSimEngine* engine() noexcept;
   /// The processor's FSL channel hub (always present).
   [[nodiscard]] fsl::FslHub& fsl_hub() noexcept;
@@ -202,7 +207,7 @@ class SimSystem {
   /// Observability bus of core `index` (trace_bus() is core 0's).
   [[nodiscard]] obs::TraceBus& trace_bus(std::size_t index);
   /// The machine-level engine; nullptr for single-core systems, which
-  /// run through their lone CoSimEngine exactly as before.
+  /// run through their lone CoSimEngine.
   [[nodiscard]] core::ManyCoreEngine* machine_engine() noexcept;
   /// Core a terminal StopReason of the last run() refers to — the
   /// culprit for kIllegal/kDeadlock, the last core to halt for kHalted;
@@ -229,8 +234,8 @@ class SimSystem {
   /// The armed injector, or nullptr when the system runs fault-free.
   [[nodiscard]] const fault::Injector* fault_injector() const noexcept;
 
-  /// Diagnosis of the most recent StopReason::kDeadlock (engine or
-  /// software-only run); empty until a deadlock has been detected.
+  /// Diagnosis of the most recent StopReason::kDeadlock; empty until a
+  /// deadlock has been detected.
   [[nodiscard]] std::optional<core::DeadlockDiagnosis> deadlock_diagnosis()
       const;
 
@@ -308,23 +313,11 @@ class SimSystem {
   [[nodiscard]] Word word(const std::string& name, u32 index = 0) const;
 
  private:
+  /// Every core owns a CoSimEngine (one without a hardware model for a
+  /// software-only core); run() drives the lone core's engine or the
+  /// machine engine from stop point to stop point.
   struct State;
   explicit SimSystem(std::unique_ptr<State> state);
-
-  core::StopReason run_software_only(Cycle max_cycles);
-  /// Fault-free dispatch: machine engine or lone-core segment.
-  core::StopReason run_unfaulted(Cycle max_cycles);
-  /// run_unfaulted chunked at Builder::checkpoint_every boundaries,
-  /// writing "<prefix>NNNNNN.ckpt" at each one.
-  core::StopReason run_checkpointed(Cycle max_cycles);
-  /// Engine or software-only run, without the wall-clock / flush
-  /// bookkeeping of run() (used for the segments of a faulted run).
-  core::StopReason run_segment(Cycle max_cycles);
-  /// Run-to-trigger, fire the injection, continue — the orchestration
-  /// of a cycle/pc point-triggered fault plan.
-  core::StopReason run_faulted(Cycle max_cycles);
-  /// Same orchestration for the multi-core engine (cycle triggers only).
-  core::StopReason run_machine_faulted(Cycle max_cycles);
 
   std::unique_ptr<State> state_;
 };
@@ -339,8 +332,7 @@ class SimSystem::Builder {
   /// the PeripheralRegistry) and cross-core links all come from the
   /// description; mixing machine() with the per-core setters below
   /// (program/hardware/bind_fsl/opb/custom_instruction/cpu_config/
-  /// memory_bytes/fifo_depth/quiescence/predecode/exec_tier) is a
-  /// build() error.
+  /// memory_bytes/fifo_depth/quiescence/exec_tier) is a build() error.
   Builder& machine(machine::MachineDesc desc);
   /// Host worker threads for multi-core rounds (0 = one per hardware
   /// thread; ignored for single-core machines). Results are identical
@@ -371,15 +363,8 @@ class SimSystem::Builder {
   /// Bind peripheral gateways onto FSL channel `channel`.
   Builder& bind_fsl(unsigned channel, const FslGateways& io);
 
-  /// Enable/disable the processor's predecode cache and batched fast
-  /// path (default: enabled). Disabling restores decode-per-step
-  /// execution — the `--no-predecode` A/B baseline; simulated cycle
-  /// counts and statistics are identical either way.
-  Builder& predecode(bool enabled);
-
   /// Select the processor execution tier (default iss::ExecTier::kDbt;
-  /// see DESIGN.md §12). Subsumes predecode(): kPrecise ==
-  /// predecode(false). Simulated cycle counts and statistics are
+  /// see DESIGN.md §12). Simulated cycle counts and statistics are
   /// bit-identical across tiers.
   Builder& exec_tier(iss::ExecTier tier);
 
@@ -426,8 +411,8 @@ class SimSystem::Builder {
   /// "<path_prefix>NNNNNN.ckpt", numbered from 0. The run is chunked at
   /// checkpoint boundaries, which restarts the deadlock-streak counters
   /// there (see DESIGN.md §11); cycle counts and results are otherwise
-  /// identical. 0 disables periodic checkpoints. Ignored while a fault
-  /// plan drives the run (the campaign engine owns its own snapshots).
+  /// identical, with or without a fault plan. 0 disables periodic
+  /// checkpoints.
   Builder& checkpoint_every(Cycle interval, std::string path_prefix);
 
   /// Assemble, construct and wire everything; leaves the system reset at
@@ -451,7 +436,6 @@ class SimSystem::Builder {
   std::unique_ptr<sysgen::Model> model_;
   HardwareFactory factory_;
   std::vector<HardwareBundle::ChannelBinding> bindings_;
-  bool predecode_ = true;
   iss::ExecTier exec_tier_ = iss::ExecTier::kDbt;
   Cycle quiescence_ = 0;
   Cycle deadlock_threshold_ = 100'000;

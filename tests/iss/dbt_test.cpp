@@ -186,10 +186,10 @@ TEST(Dbt, TierDowngradeMidRunKeepsExecutingCorrectly) {
   EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPredecode);
   EXPECT_EQ(m.run(), Event::kHalted);
   EXPECT_EQ(m.cpu.reg(3), 120u);
-  // And the legacy knob still maps false -> precise, true -> default.
-  m.cpu.set_predecode(false);
+  // And the tier can drop to precise and climb back to the default.
+  m.cpu.set_exec_tier(ExecTier::kPrecise);
   EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kPrecise);
-  m.cpu.set_predecode(true);
+  m.cpu.set_exec_tier(ExecTier::kDbt);
   EXPECT_EQ(m.cpu.exec_tier(), ExecTier::kDbt);
 }
 

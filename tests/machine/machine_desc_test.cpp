@@ -41,14 +41,14 @@ TEST(MachineDesc, ReplicatedNamesCoresFromTheTemplateStem) {
   CoreDesc core_template;
   core_template.program = "halt\n";
   core_template.has_divider = true;
-  core_template.predecode = false;
+  core_template.exec_tier = iss::ExecTier::kPrecise;
 
   const MachineDesc plain = MachineDesc::replicated(3, core_template);
   ASSERT_EQ(plain.cores.size(), 3u);
   EXPECT_EQ(plain.cores[0].name, "cpu0");
   EXPECT_EQ(plain.cores[2].name, "cpu2");
   EXPECT_TRUE(plain.cores[1].has_divider);
-  EXPECT_FALSE(plain.cores[1].predecode);
+  EXPECT_EQ(plain.cores[1].exec_tier, iss::ExecTier::kPrecise);
   EXPECT_TRUE(plain.validate().ok);
 
   core_template.name = "node";
@@ -79,7 +79,6 @@ TEST(MachineDesc, ParsesMinimalMachineWithDefaults) {
   EXPECT_TRUE(desc.cores[0].has_barrel_shifter);
   EXPECT_TRUE(desc.cores[0].has_multiplier);
   EXPECT_FALSE(desc.cores[0].has_divider);
-  EXPECT_TRUE(desc.cores[0].predecode);
   EXPECT_EQ(desc.cores[0].exec_tier, iss::ExecTier::kDbt);
   EXPECT_EQ(desc.fifo_depth, 16u);
   EXPECT_EQ(desc.quantum, Cycle{64});
@@ -96,6 +95,16 @@ TEST(MachineDesc, ParsesExecTierPerCore) {
   EXPECT_EQ(desc.cores[0].exec_tier, iss::ExecTier::kPrecise);
   EXPECT_EQ(desc.cores[1].exec_tier, iss::ExecTier::kPredecode);
   EXPECT_EQ(desc.cores[2].exec_tier, iss::ExecTier::kDbt);
+}
+
+// The retired "predecode" key is an unknown key now: ignored, so older
+// machine files still load (every tier gives identical results).
+TEST(MachineDesc, IgnoresRetiredPredecodeKey) {
+  const auto result = MachineDesc::from_json(R"({"cores": [
+    {"name": "a", "program": "halt\n", "predecode": false}]})");
+  ASSERT_TRUE(result.ok()) << result.error();
+  EXPECT_EQ(result.value().cores[0].exec_tier, iss::ExecTier::kDbt);
+  EXPECT_EQ(result.value().to_json().find("predecode"), std::string::npos);
 }
 
 TEST(MachineDesc, ParsesTopologyAndPeripheralParams) {
@@ -142,7 +151,6 @@ TEST(MachineDesc, RoundTripsThroughJson) {
   worker.program_file = "worker.s";
   worker.memory_bytes = 4096;
   worker.has_divider = true;
-  worker.predecode = false;
   worker.exec_tier = iss::ExecTier::kPredecode;
   desc.cores = {feeder, worker};
   desc.links = {{"feeder", 1, "worker", 1}};
@@ -192,7 +200,7 @@ TEST(MachineDescErrors, BadField) {
   expect_parse_error(R"({"cores": [{"name": 7, "program": "halt\n"}]})",
                      "[bad-field]");
   expect_parse_error(
-      R"({"cores": [{"name": "a", "program": "halt\n", "predecode": 1}]})",
+      R"({"cores": [{"name": "a", "program": "halt\n", "divider": 1}]})",
       "[bad-field]");
   expect_parse_error(R"({
     "cores": [{"name": "a", "program": "halt\n"}],

@@ -1,13 +1,32 @@
 // SimSystem facade: builder error paths (every configuration problem
-// comes back through Expected, never a throw) and equivalence with the
-// hand-wired low-level API (identical cycle counts and results).
+// comes back through Expected, never a throw), equivalence with the
+// hand-wired low-level API (identical cycle counts and results), and
+// the run loop's stop points: however a run is cut into run() calls,
+// faults fire and checkpoints land without changing the result.
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/cordic/cordic_app.hpp"
+#include "apps/cordic/cordic_sw.hpp"
+#include "apps/machine_peripherals.hpp"
+#include "apps/matmul/matmul_reference.hpp"
+#include "apps/matmul/matmul_sw.hpp"
 #include "asm/assembler.hpp"
 #include "core/cosim_engine.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "sim/sim_system.hpp"
 #include "sysgen/blocks_basic.hpp"
 
@@ -309,6 +328,369 @@ TEST(SimSystem, ResourceAndEnergyReportsCoverTheWholeDesign) {
   EXPECT_GT(energy.processor_nj, 0.0);
   EXPECT_GT(energy.peripheral_nj, 0.0);
   EXPECT_EQ(energy.cycles, system.stats().cycles);
+}
+
+// ------------------------------------------------- stop points and cuts
+
+using MakeBuilder = std::function<SimSystem::Builder()>;
+
+// A pure-software accumulator loop (r3 is the running sum).
+constexpr const char* kSumSource = R"(
+    li  r3, 0
+    li  r4, 300
+  loop:
+    addik r3, r3, 7
+    addik r4, r4, -1
+    bnei r4, loop
+    la  r5, result
+  done:
+    swi r3, r5, 0
+    halt
+  result: .space 4
+)";
+
+SimSystem::Builder software_only() {
+  SimSystem::Builder builder;
+  builder.program(kSumSource);
+  return builder;
+}
+
+// CORDIC division at P=4, the pipeline peripheral on FSL channel 0.
+SimSystem::Builder cordic_p4() {
+  apps::register_machine_peripherals();
+  const auto [x, y] = apps::cordic::make_cordic_dataset(10, 7);
+  machine::MachineDesc desc;
+  machine::CoreDesc core;
+  core.name = "cpu0";
+  core.program = apps::cordic::hw_driver_program(x, y, 24, 4);
+  desc.cores = {core};
+  machine::PeripheralDesc pipeline;
+  pipeline.core = "cpu0";
+  pipeline.type = "cordic";
+  pipeline.params["num_pes"] = 4;
+  desc.peripherals = {pipeline};
+  SimSystem::Builder builder;
+  builder.machine(std::move(desc));
+  return builder;
+}
+
+// Two cores, each driving its own block-multiplier peripheral. The
+// cores share no link, so their quantum rounds carry no cross-core
+// traffic and a cut at any cycle is exact. (A cross-linked machine
+// re-anchors its link barriers at a cut off a quantum multiple; see
+// DESIGN.md §11.)
+SimSystem::Builder matmul_two_core() {
+  namespace matmul = mbcosim::apps::matmul;
+  apps::register_machine_peripherals();
+  machine::CoreDesc core_template;
+  core_template.name = "pe";
+  core_template.program = matmul::hw_driver_program(
+      matmul::make_matrix(8, 3), matmul::make_matrix(8, 7), 4);
+  machine::MachineDesc desc =
+      machine::MachineDesc::replicated(2, core_template);
+  for (const machine::CoreDesc& core : desc.cores) {
+    machine::PeripheralDesc mac;
+    mac.core = core.name;
+    mac.type = "matmul";
+    mac.params["block_size"] = 4;
+    desc.peripherals.push_back(mac);
+  }
+  SimSystem::Builder builder;
+  builder.machine(std::move(desc)).workers(1);
+  return builder;
+}
+
+// A register bit flip triggered when the processor reaches `label`.
+std::string pc_fault(const std::string& source, const std::string& label) {
+  char spec[96];
+  std::snprintf(spec, sizeof spec, "site=reg,mode=bitflip,pc=0x%x,reg=3",
+                assembler::assemble_or_throw(source).symbol(label));
+  return spec;
+}
+
+struct Scenario {
+  std::string fault_spec;  ///< empty: fault-free
+  Cycle checkpoint_every = 0;
+};
+
+struct Outcome {
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  core::CoSimStats stats;
+  std::vector<unsigned char> image;  ///< snapshot(): the whole machine
+  std::string metrics;
+  std::vector<std::string> traces;  ///< one JSONL stream per core
+  bool fault_applied = false;
+  std::string fault_detail;
+};
+
+// Build the system for `scenario`, run it through run(cut) for every
+// cut and then a final run(), and record everything observable. With
+// `traced`, every core gets a JSONL sink and the system a metrics
+// registry (which also keeps the processors on the precise path).
+Outcome run_cut(const MakeBuilder& make, const Scenario& scenario,
+                const std::vector<Cycle>& cuts, bool traced,
+                const std::string& checkpoint_prefix) {
+  SimSystem::Builder builder = make();
+  if (!scenario.fault_spec.empty()) {
+    const Expected<fault::FaultPlan> plan =
+        fault::parse_plan(scenario.fault_spec);
+    EXPECT_TRUE(plan.ok()) << plan.error();
+    builder.fault(plan.value());
+  }
+  if (scenario.checkpoint_every != 0) {
+    builder.checkpoint_every(scenario.checkpoint_every, checkpoint_prefix);
+  }
+  if (traced) builder.metrics();
+  auto built = builder.build();
+  EXPECT_TRUE(built.ok()) << built.error();
+  SimSystem system = std::move(built).value();
+  std::vector<std::unique_ptr<std::ostringstream>> streams;
+  if (traced) {
+    for (std::size_t i = 0; i < system.core_count(); ++i) {
+      streams.push_back(std::make_unique<std::ostringstream>());
+      system.trace_bus(i).add_sink(
+          std::make_unique<obs::JsonlSink>(*streams.back()));
+    }
+  }
+  for (const Cycle cut : cuts) system.run(cut);
+
+  Outcome outcome;
+  outcome.reason = system.run();
+  outcome.stats = system.stats();
+  outcome.image = system.snapshot();
+  outcome.metrics = system.metrics_snapshot().to_string();
+  for (const auto& stream : streams) outcome.traces.push_back(stream->str());
+  if (const fault::Injector* injector = system.fault_injector()) {
+    outcome.fault_applied = injector->applied();
+    outcome.fault_detail = injector->detail();
+  }
+  return outcome;
+}
+
+void expect_same_outcome(const Outcome& cut, const Outcome& whole,
+                         const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(cut.reason, whole.reason);
+  EXPECT_EQ(cut.stats.cycles, whole.stats.cycles);
+  EXPECT_EQ(cut.stats.instructions, whole.stats.instructions);
+  EXPECT_EQ(cut.stats.fsl_stall_cycles, whole.stats.fsl_stall_cycles);
+  EXPECT_EQ(cut.stats.hw_cycles_stepped, whole.stats.hw_cycles_stepped);
+  EXPECT_EQ(cut.stats.hw_cycles_skipped, whole.stats.hw_cycles_skipped);
+  EXPECT_EQ(cut.stats.bridge.words_to_hw, whole.stats.bridge.words_to_hw);
+  EXPECT_EQ(cut.stats.bridge.words_from_hw,
+            whole.stats.bridge.words_from_hw);
+  EXPECT_TRUE(cut.image == whole.image) << "final machine state differs";
+  EXPECT_EQ(cut.metrics, whole.metrics);
+  ASSERT_EQ(cut.traces.size(), whole.traces.size());
+  for (std::size_t i = 0; i < cut.traces.size(); ++i) {
+    EXPECT_TRUE(cut.traces[i] == whole.traces[i])
+        << "JSONL trace of core " << i << " differs";
+  }
+  EXPECT_EQ(cut.fault_applied, whole.fault_applied);
+  EXPECT_EQ(cut.fault_detail, whole.fault_detail);
+}
+
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("mbcosim_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  [[nodiscard]] std::string prefix(const std::string& stem) const {
+    return (path_ / stem).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+// Every scenario run whole and cut at `cuts`, untraced (batched fast
+// path) and traced (precise path, JSONL + metrics): identical outcomes.
+void expect_cut_invariant(const std::string& name, const MakeBuilder& make,
+                          const std::vector<Scenario>& scenarios,
+                          const std::vector<Cycle>& cuts) {
+  const ScratchDir dir(name);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const Scenario& scenario = scenarios[i];
+    for (const bool traced : {false, true}) {
+      const std::string what =
+          name + " [" +
+          (scenario.fault_spec.empty() ? "no fault" : scenario.fault_spec) +
+          ", checkpoint_every " + std::to_string(scenario.checkpoint_every) +
+          (traced ? ", traced]" : ", untraced]");
+      const std::string stem = "s" + std::to_string(i) + "_";
+      const Outcome whole =
+          run_cut(make, scenario, {}, traced, dir.prefix(stem + "whole_"));
+      EXPECT_EQ(whole.reason, core::StopReason::kHalted) << what;
+      if (!scenario.fault_spec.empty()) {
+        EXPECT_TRUE(whole.fault_applied) << what;
+      }
+      const Outcome cut =
+          run_cut(make, scenario, cuts, traced, dir.prefix(stem + "cut_"));
+      expect_same_outcome(cut, whole, what);
+    }
+  }
+}
+
+TEST(SimSystemRunLoop, SoftwareOnlyRunIsCutInvariant) {
+  const std::string at_done = pc_fault(kSumSource, "done");
+  const std::vector<Scenario> scenarios = {
+      {},
+      {"site=reg,mode=bitflip,cycle=500,reg=3"},
+      {at_done},
+      {{}, 333},
+      {"site=reg,mode=bitflip,cycle=500,reg=3", 333},
+      {at_done, 333},
+  };
+  expect_cut_invariant("software_only", software_only, scenarios,
+                       {1, 250, 497, 500, 501, 777, 905});
+}
+
+TEST(SimSystemRunLoop, CordicP4RunIsCutInvariant) {
+  // The pc trigger is the top of the driver's result loop, first
+  // reached after the pipeline has been filled.
+  const auto [x, y] = apps::cordic::make_cordic_dataset(10, 7);
+  const std::string at_recv_loop =
+      pc_fault(apps::cordic::hw_driver_program(x, y, 24, 4), "recv_loop");
+  const std::vector<Scenario> scenarios = {
+      {},
+      {"site=reg,mode=bitflip,cycle=1200,reg=3"},
+      {at_recv_loop},
+      {{}, 700},
+      {"site=reg,mode=bitflip,cycle=1200,reg=3", 700},
+      {at_recv_loop, 700},
+  };
+  expect_cut_invariant("cordic_p4", cordic_p4, scenarios,
+                       {3, 640, 1195, 1200, 1203, 2048, 2999});
+}
+
+TEST(SimSystemRunLoop, TwoCoreMachineRunIsCutInvariant) {
+  // Multi-core machines take cycle triggers only.
+  const std::vector<Scenario> scenarios = {
+      {},
+      {"site=reg,mode=bitflip,cycle=3000,reg=3,core=1"},
+      {{}, 2500},
+      {"site=reg,mode=bitflip,cycle=3000,reg=3,core=1", 2500},
+  };
+  expect_cut_invariant("matmul_two_core", matmul_two_core, scenarios,
+                       {100, 2990, 3000, 3001, 4100, 9999});
+}
+
+TEST(SimSystemRunLoop, FaultAndCheckpointsTogetherWriteCheckpoints) {
+  const ScratchDir dir("fault_and_checkpoints");
+  const Scenario faulted{"site=reg,mode=bitflip,cycle=500,reg=3"};
+  const Scenario both{"site=reg,mode=bitflip,cycle=500,reg=3", 300};
+  const Outcome plain =
+      run_cut(software_only, faulted, {}, true, dir.prefix("plain_"));
+  const Outcome checkpointed =
+      run_cut(software_only, both, {}, true, dir.prefix("both_"));
+  expect_same_outcome(checkpointed, plain, "fault + checkpoint_every");
+  EXPECT_TRUE(checkpointed.fault_applied);
+  // Boundaries at ~300, ~600 and ~900 cycles of a ~1210-cycle run.
+  for (const char* file : {"both_000000.ckpt", "both_000001.ckpt",
+                           "both_000002.ckpt"}) {
+    EXPECT_TRUE(std::filesystem::exists(dir.prefix(file))) << file;
+  }
+}
+
+// A run cut just before a cycle trigger must not fire it early: the
+// plan stays armed, and the next run() fires it exactly where one
+// uncut run does.
+TEST(SimSystemRunLoop, CycleTriggerFiresOnlyWhenTheClockReachesIt) {
+  const auto plan = fault::parse_plan("site=reg,mode=bitflip,cycle=500,reg=3");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  const auto build = [&plan] {
+    auto built = software_only().fault(plan.value()).build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    return std::move(built).value();
+  };
+  SimSystem whole = build();
+  ASSERT_EQ(whole.run(), core::StopReason::kHalted);
+  ASSERT_TRUE(whole.fault_injector()->applied());
+
+  for (const Cycle k : {Cycle{1}, Cycle{3}, Cycle{100}}) {
+    SCOPED_TRACE("cut at trigger - " + std::to_string(k));
+    SimSystem cut = build();
+    EXPECT_EQ(cut.run(500 - k), core::StopReason::kCycleLimit);
+    EXPECT_LT(cut.stats().cycles, Cycle{500});
+    EXPECT_FALSE(cut.fault_injector()->armed_or_fired());
+    EXPECT_FALSE(cut.fault_injector()->applied());
+    EXPECT_EQ(cut.run(), core::StopReason::kHalted);
+    EXPECT_EQ(cut.stats().cycles, whole.stats().cycles);
+    EXPECT_EQ(cut.stats().instructions, whole.stats().instructions);
+    EXPECT_EQ(cut.word("result"), whole.word("result"));
+    EXPECT_TRUE(cut.fault_injector()->applied());
+    EXPECT_EQ(cut.fault_injector()->detail(),
+              whole.fault_injector()->detail());
+  }
+}
+
+TEST(SimSystemRunLoop, BudgetEndingBeforeTheTriggerLeavesTheFaultUnapplied) {
+  const auto plan = fault::parse_plan("site=reg,mode=bitflip,cycle=900,reg=3");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  auto built = software_only().fault(plan.value()).build();
+  ASSERT_TRUE(built.ok()) << built.error();
+  SimSystem single = std::move(built).value();
+  EXPECT_EQ(single.run(400), core::StopReason::kCycleLimit);
+  EXPECT_FALSE(single.fault_injector()->applied());
+
+  auto plan_on_core1 =
+      fault::parse_plan("site=reg,mode=bitflip,cycle=3000,reg=3,core=1");
+  ASSERT_TRUE(plan_on_core1.ok()) << plan_on_core1.error();
+  auto built_machine = matmul_two_core().fault(plan_on_core1.value()).build();
+  ASSERT_TRUE(built_machine.ok()) << built_machine.error();
+  SimSystem machine = std::move(built_machine).value();
+  EXPECT_EQ(machine.run(2000), core::StopReason::kCycleLimit);
+  EXPECT_FALSE(machine.fault_injector()->applied());
+  EXPECT_EQ(machine.run(), core::StopReason::kHalted);
+  EXPECT_TRUE(machine.fault_injector()->applied());
+}
+
+// A program that deadlocks before reaching its pc trigger reports the
+// deadlock exactly as a free run does: same diagnosis, same trace event.
+TEST(SimSystemRunLoop, PcTriggeredRunReportsDeadlockLikeAFreeRun) {
+  constexpr const char* kStarved = R"(
+      li  r3, 5
+    blocked:
+      get r4, rfsl0
+    never:
+      halt
+  )";
+  const auto run = [](const char* fault_spec) {
+    SimSystem::Builder builder;
+    builder.program(kStarved).deadlock_threshold(150);
+    if (fault_spec != nullptr) {
+      const auto plan = fault::parse_plan(fault_spec);
+      EXPECT_TRUE(plan.ok()) << plan.error();
+      builder.fault(plan.value());
+    }
+    auto stream = std::make_unique<std::ostringstream>();
+    std::ostringstream* trace = stream.get();
+    builder.sink(std::make_unique<obs::JsonlSink>(*trace));
+    auto built = builder.build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    SimSystem system = std::move(built).value();
+    const core::StopReason reason = system.run();
+    const auto diagnosis = system.deadlock_diagnosis();
+    return std::make_tuple(reason, diagnosis, trace->str(),
+                           std::move(system));
+  };
+  const std::string at_never = pc_fault(kStarved, "never");
+  auto [free_reason, free_diagnosis, free_trace, free_system] = run(nullptr);
+  auto [pc_reason, pc_diagnosis, pc_trace, pc_system] =
+      run(at_never.c_str());
+
+  EXPECT_EQ(free_reason, core::StopReason::kDeadlock);
+  EXPECT_EQ(pc_reason, core::StopReason::kDeadlock);
+  ASSERT_TRUE(free_diagnosis.has_value());
+  ASSERT_TRUE(pc_diagnosis.has_value());
+  EXPECT_EQ(pc_diagnosis->to_string(), free_diagnosis->to_string());
+  EXPECT_NE(free_trace.find("\"deadlock\""), std::string::npos);
+  EXPECT_EQ(pc_trace, free_trace);
+  EXPECT_FALSE(pc_system.fault_injector()->armed_or_fired());
 }
 
 }  // namespace

@@ -39,7 +39,6 @@
 //                       dispatch) or dbt (superblock threaded code, the
 //                       default). Cycle counts are identical across
 //                       tiers (DESIGN.md §12)
-//   --no-predecode      deprecated alias for --exec-tier precise
 //   --rtl               run on the low-level RTL system instead of the
 //                       ISS (no peripheral; for timing cross-checks)
 //   --gdb PORT          do not run: serve one GDB Remote Serial Protocol
@@ -121,7 +120,7 @@ void usage() {
                "              [--max-cycles N] [--no-multiplier]\n"
                "              [--no-barrel-shifter] [--divider] [--rtl]\n"
                "              [--exec-tier {precise,predecode,dbt}]\n"
-               "              [--no-predecode] [--gdb PORT]\n"
+               "              [--gdb PORT]\n"
                "              [--fault SPEC] [--fault-seed S]\n"
                "              [--save-ckpt FILE] [--load-ckpt FILE]\n");
 }
@@ -218,12 +217,6 @@ bool parse_args(int argc, char** argv, Options& options) {
         return false;
       }
       options.exec_tier = *tier;
-      if (options.per_core_flag.empty()) options.per_core_flag = arg;
-    } else if (arg == "--no-predecode") {
-      std::fprintf(stderr,
-                   "mbcsim: --no-predecode is deprecated; use "
-                   "--exec-tier precise\n");
-      options.exec_tier = iss::ExecTier::kPrecise;
       if (options.per_core_flag.empty()) options.per_core_flag = arg;
     } else if (arg == "--vcd") {
       const char* value = flag_value(argc, argv, i, arg);
@@ -833,7 +826,6 @@ int main(int argc, char** argv) {
       core_template.has_multiplier = options.cpu.has_multiplier;
       core_template.has_barrel_shifter = options.cpu.has_barrel_shifter;
       core_template.has_divider = options.cpu.has_divider;
-      core_template.predecode = options.exec_tier != iss::ExecTier::kPrecise;
       core_template.exec_tier = options.exec_tier;
       return run_machine(options, machine::MachineDesc::replicated(
                                       options.cores,
