@@ -65,6 +65,11 @@ struct StrategyCase {
   const char* name;
 };
 
+// gtest's default printer dumps the raw bytes — uninitialized padding and the
+// name pointer included — into the listed test name, which then changed from
+// run to run; print the case by name instead.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
 class SwStrategies : public ::testing::TestWithParam<StrategyCase> {};
 
 TEST_P(SwStrategies, MatchesReferenceBitExactly) {
