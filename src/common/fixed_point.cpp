@@ -60,11 +60,7 @@ std::string FixFormat::to_string() const {
 
 Fix Fix::from_raw(FixFormat fmt, i64 raw) {
   fmt.validate();
-  const u64 masked = static_cast<u64>(raw) & low_mask64(fmt.word_bits);
-  const i64 extended = fmt.sign == Signedness::kSigned
-                           ? sign_extend64(masked, fmt.word_bits)
-                           : static_cast<i64>(masked);
-  return Fix(fmt, extended);
+  return Fix(fmt, fmt.wrap(raw));
 }
 
 Fix Fix::from_double(FixFormat fmt, double value) {
@@ -105,7 +101,7 @@ u64 Fix::raw_bits() const noexcept {
   return static_cast<u64>(raw_) & low_mask64(fmt_.word_bits);
 }
 
-FixFormat Fix::common_addsub_format(const FixFormat& a, const FixFormat& b) {
+FixFormat Fix::add_format(const FixFormat& a, const FixFormat& b) {
   // Integer bits grow to the max of the operands plus one carry bit;
   // fraction bits grow to the max. Result is signed if either operand is
   // signed (an unsigned operand gains a bit when promoted to signed).
@@ -117,39 +113,59 @@ FixFormat Fix::common_addsub_format(const FixFormat& a, const FixFormat& b) {
     return ib;
   };
   const int frac = std::max(int(a.frac_bits), int(b.frac_bits));
-  const int ints = std::max(int_bits(a), int_bits(b)) + 1;
-  const int word = std::min(frac + ints, 63);
+  const int word = frac + std::max(int_bits(a), int_bits(b)) + 1;
+  if (word > 63) {
+    throw SimError("Fix: full-precision add/sub of " + a.to_string() +
+                   " and " + b.to_string() + " needs " +
+                   std::to_string(word) + " bits (max 63)");
+  }
   FixFormat result{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
                    static_cast<u8>(word), static_cast<u8>(frac)};
   result.validate();
   return result;
 }
 
+FixFormat Fix::sub_format(const FixFormat& a, const FixFormat& b) {
+  FixFormat out = add_format(a, b);
+  out.sign = Signedness::kSigned;  // subtraction can go negative
+  return out;
+}
+
+FixFormat Fix::mul_format(const FixFormat& a, const FixFormat& b) {
+  const bool signed_result =
+      a.sign == Signedness::kSigned || b.sign == Signedness::kSigned;
+  const int word = std::min(int(a.word_bits) + int(b.word_bits), 63);
+  const int frac = int(a.frac_bits) + int(b.frac_bits);
+  FixFormat out{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
+                static_cast<u8>(word), static_cast<u8>(std::min(frac, word))};
+  out.validate();
+  return out;
+}
+
+FixFormat Fix::negate_format(const FixFormat& a) {
+  FixFormat out = a;
+  out.sign = Signedness::kSigned;
+  out.word_bits = static_cast<u8>(std::min(int(out.word_bits) + 1, 63));
+  out.validate();
+  return out;
+}
+
 Fix Fix::add_full(const Fix& other) const {
-  const FixFormat out = common_addsub_format(fmt_, other.fmt_);
+  const FixFormat out = add_format(fmt_, other.fmt_);
   const i64 a = raw_ << (out.frac_bits - fmt_.frac_bits);
   const i64 b = other.raw_ << (out.frac_bits - other.fmt_.frac_bits);
   return Fix(out, a + b);
 }
 
 Fix Fix::sub_full(const Fix& other) const {
-  FixFormat out = common_addsub_format(fmt_, other.fmt_);
-  out.sign = Signedness::kSigned;  // subtraction can go negative
-  out.validate();
+  const FixFormat out = sub_format(fmt_, other.fmt_);
   const i64 a = raw_ << (out.frac_bits - fmt_.frac_bits);
   const i64 b = other.raw_ << (out.frac_bits - other.fmt_.frac_bits);
   return Fix(out, a - b);
 }
 
 Fix Fix::mul_full(const Fix& other) const {
-  const bool signed_result = fmt_.sign == Signedness::kSigned ||
-                             other.fmt_.sign == Signedness::kSigned;
-  const int word =
-      std::min(int(fmt_.word_bits) + int(other.fmt_.word_bits), 63);
-  const int frac = int(fmt_.frac_bits) + int(other.fmt_.frac_bits);
-  FixFormat out{signed_result ? Signedness::kSigned : Signedness::kUnsigned,
-                static_cast<u8>(word), static_cast<u8>(std::min(frac, word))};
-  out.validate();
+  const FixFormat out = mul_format(fmt_, other.fmt_);
   const i128 product = i128(raw_) * i128(other.raw_);
   // The supported envelope (<= 63-bit operand products fitting in 126 bits,
   // results capped at 63 bits) is enforced by clamping; block authors who
@@ -161,13 +177,7 @@ Fix Fix::mul_full(const Fix& other) const {
   return Fix(out, raw);
 }
 
-Fix Fix::negate_full() const {
-  FixFormat out = fmt_;
-  out.sign = Signedness::kSigned;
-  out.word_bits = static_cast<u8>(std::min(int(out.word_bits) + 1, 63));
-  out.validate();
-  return Fix(out, -raw_);
-}
+Fix Fix::negate_full() const { return Fix(negate_format(fmt_), -raw_); }
 
 Fix Fix::shift_right_exact(unsigned amount) const {
   FixFormat out = fmt_;
@@ -227,9 +237,7 @@ Fix Fix::cast(FixFormat to, Quantization q, Overflow o) const {
   } else if (o == Overflow::kSaturate) {
     raw = scaled > max_raw ? to.max_raw() : to.min_raw();
   } else {
-    const u64 masked = static_cast<u64>(scaled) & low_mask64(to.word_bits);
-    raw = to.sign == Signedness::kSigned ? sign_extend64(masked, to.word_bits)
-                                         : static_cast<i64>(masked);
+    raw = to.wrap(static_cast<i64>(static_cast<u64>(scaled)));
   }
   return Fix(to, raw);
 }

@@ -36,6 +36,15 @@ struct FixFormat {
 
   [[nodiscard]] i64 max_raw() const noexcept;
   [[nodiscard]] i64 min_raw() const noexcept;
+  /// Wrap a raw code into the format: keep the low word_bits, then
+  /// sign-extend (signed) or zero-extend (unsigned). The format must be
+  /// valid.
+  [[nodiscard]] i64 wrap(i64 raw) const noexcept {
+    const unsigned ext = 64u - word_bits;
+    const u64 high = static_cast<u64>(raw) << ext;
+    return sign == Signedness::kSigned ? static_cast<i64>(high) >> ext
+                                       : static_cast<i64>(high >> ext);
+  }
   [[nodiscard]] double resolution() const noexcept;  ///< 2^-frac_bits
   [[nodiscard]] std::string to_string() const;
 
@@ -79,10 +88,23 @@ class Fix {
 
   /// Full-precision arithmetic: the result format grows so no information
   /// is lost (this mirrors System Generator's "full" precision option).
+  /// add_full/sub_full throw SimError when the exact result needs more
+  /// than 63 bits; mul_full and negate_full cap the width at 63 bits.
   [[nodiscard]] Fix add_full(const Fix& other) const;
   [[nodiscard]] Fix sub_full(const Fix& other) const;
   [[nodiscard]] Fix mul_full(const Fix& other) const;
   [[nodiscard]] Fix negate_full() const;
+
+  /// The result formats of the full-precision operations above, so that
+  /// compiled block schedules can resolve them once (same rules, same
+  /// SimError when add/sub would exceed 63 bits).
+  [[nodiscard]] static FixFormat add_format(const FixFormat& a,
+                                            const FixFormat& b);
+  [[nodiscard]] static FixFormat sub_format(const FixFormat& a,
+                                            const FixFormat& b);
+  [[nodiscard]] static FixFormat mul_format(const FixFormat& a,
+                                            const FixFormat& b);
+  [[nodiscard]] static FixFormat negate_format(const FixFormat& a);
 
   /// Arithmetic shift right by `amount` bits (>= 0): moves the binary
   /// point, i.e. an exact division by 2^amount with format growth.
@@ -111,7 +133,6 @@ class Fix {
 
  private:
   Fix(FixFormat fmt, i64 raw) noexcept : fmt_(fmt), raw_(raw) {}
-  static FixFormat common_addsub_format(const FixFormat& a, const FixFormat& b);
 
   FixFormat fmt_;
   i64 raw_;

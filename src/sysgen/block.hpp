@@ -5,14 +5,19 @@
 // code; the simulation semantics are the same synchronous cycle-based
 // dataflow:
 //
-//   phase 0  output_state(): sequential blocks drive their outputs from
-//            internal state (registers are Moore machines);
-//   phase 1  propagate():    combinational blocks evaluate in topological
-//            order (algebraic loops are rejected at elaboration);
-//   phase 2  latch():        sequential blocks capture their inputs.
+//   phase 0  sequential blocks drive their outputs from internal state
+//            (registers are Moore machines);
+//   phase 1  combinational blocks evaluate in topological order
+//            (algebraic loops are rejected at elaboration);
+//   phase 2  sequential blocks capture their inputs.
 //
-// A block is sequential iff is_sequential() returns true; it then
-// participates in phases 0/2 and must not implement propagate().
+// Model::elaborate() compiles each block into op records for these phases
+// through lower() (schedule.hpp). Library blocks lower to dedicated ops;
+// the default lower() makes an opaque op that calls output_state() (phase
+// 0), propagate() (phase 1) and latch() (phase 2), so a user-defined block
+// only implements those virtuals. A block is sequential iff
+// is_sequential() returns true; it then participates in phases 0/2 and
+// must not implement propagate().
 #pragma once
 
 #include <string>
@@ -28,6 +33,7 @@ class Reader;
 
 namespace mbcosim::sysgen {
 
+class Lowering;
 class Model;
 
 class Block {
@@ -39,6 +45,10 @@ class Block {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   [[nodiscard]] virtual bool is_sequential() const { return false; }
+
+  /// Compile the block into schedule ops. The default emits opaque ops
+  /// that call the three phase virtuals below.
+  virtual void lower(Lowering& lowering);
 
   /// Phase 0: drive outputs from state (sequential blocks only).
   virtual void output_state() {}

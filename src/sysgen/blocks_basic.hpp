@@ -8,13 +8,13 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
 #include "common/bits.hpp"
 #include "sysgen/block.hpp"
 #include "sysgen/model.hpp"
+#include "sysgen/schedule.hpp"
 
 namespace mbcosim::sysgen {
 
@@ -39,7 +39,12 @@ class Constant : public Block {
         value_(value),
         out_(make_output("out", value.format())) {}
 
-  void propagate() override { out_.drive(value_); }
+  void lower(Lowering& lowering) override {
+    Op op(OpCode::kConst);
+    op.out = lowering.slot(out_);
+    op.k = value_.raw();
+    lowering.combinational(op);
+  }
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
@@ -55,27 +60,30 @@ class GatewayIn : public Block {
   GatewayIn(Model& model, std::string name, FixFormat format)
       : Block(model, std::move(name)),
         format_(format),
-        pending_(Fix::from_raw(format, 0)),
         out_(make_output("out", format)) {}
 
   /// Set the value presented during the next step(). Doubles are
   /// quantized like a hardware gateway (round, saturate).
-  void set(double value) { pending_ = Fix::from_double(format_, value); }
-  void set_raw(i64 raw_code) { pending_ = Fix::from_raw(format_, raw_code); }
+  void set(double value) { pending_ = Fix::from_double(format_, value).raw(); }
+  void set_raw(i64 raw_code) noexcept { pending_ = format_.wrap(raw_code); }
   void set_fix(const Fix& value) {
     pending_ = value.cast(format_, Quantization::kRoundHalfUp,
-                          Overflow::kSaturate);
+                          Overflow::kSaturate).raw();
   }
-  void set_bool(bool value) { pending_ = Fix::from_raw(format_, value ? 1 : 0); }
+  void set_bool(bool value) noexcept { pending_ = format_.wrap(value ? 1 : 0); }
 
-  void propagate() override { out_.drive(pending_); }
-  void reset() override { pending_ = Fix::from_raw(format_, 0); }
+  void lower(Lowering& lowering) override {
+    Op op(OpCode::kLoad, &pending_);
+    op.out = lowering.slot(out_);
+    lowering.combinational(op);
+  }
+  void reset() override { pending_ = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(pending_.raw());
+    writer.write_i64(pending_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    pending_ = Fix::from_raw(format_, reader.read_i64());
+    pending_ = format_.wrap(reader.read_i64());
     return reader.ok();
   }
 
@@ -83,21 +91,27 @@ class GatewayIn : public Block {
 
  private:
   FixFormat format_;
-  Fix pending_;
+  i64 pending_ = 0;
   Signal& out_;
 };
 
-/// Gateway Out: exposes an internal signal to the environment.
+/// Gateway Out: exposes an internal signal to the environment. It has no
+/// op of its own: reads go straight to the source signal's slot.
 class GatewayOut : public Block {
  public:
   GatewayOut(Model& model, std::string name, Signal& source)
-      : Block(model, std::move(name)) {
+      : Block(model, std::move(name)), source_(source) {
     connect_input(source);
   }
 
-  [[nodiscard]] const Fix& read() const { return in(0).value(); }
-  [[nodiscard]] i64 read_raw() const { return in(0).raw(); }
-  [[nodiscard]] bool read_bool() const { return in(0).as_bool(); }
+  void lower(Lowering&) override {}
+
+  [[nodiscard]] Fix read() const { return source_.value(); }
+  [[nodiscard]] i64 read_raw() const noexcept { return source_.raw(); }
+  [[nodiscard]] bool read_bool() const noexcept { return source_.as_bool(); }
+
+ private:
+  const Signal& source_;
 };
 
 // ---------------------------------------------------------------------------
@@ -107,51 +121,55 @@ class GatewayOut : public Block {
 /// Common machinery for arithmetic blocks with a configurable pipeline
 /// latency: latency 0 is combinational; latency L >= 1 inserts L output
 /// registers (like the "latency" parameter on System Generator blocks).
+/// Subclasses describe their function as one op; lower() places it in the
+/// combinational phase, or computes it at latch time into the pipeline.
 class PipelinedFunction : public Block {
  public:
-  [[nodiscard]] bool is_sequential() const override { return latency_ > 0; }
+  [[nodiscard]] bool is_sequential() const override { return latency() > 0; }
 
-  void output_state() override { out_.drive(pipe_.front()); }
-  void propagate() override { out_.drive(compute()); }
-  void latch() override {
-    pipe_.push_back(compute());
-    pipe_.pop_front();
-  }
-  void reset() override {
-    for (auto& stage : pipe_) stage = Fix::from_raw(out_.format(), 0);
-  }
-
-  void save_state(ckpt::Writer& writer) const override {
-    writer.write_u32(latency_);
-    for (const Fix& stage : pipe_) writer.write_i64(stage.raw());
-  }
-  [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    if (reader.read_u32() != latency_) return false;
-    for (Fix& stage : pipe_) {
-      stage = Fix::from_raw(out_.format(), reader.read_i64());
+  void lower(Lowering& lowering) final {
+    Op op = function(lowering);
+    const u32 out = lowering.slot(out_);
+    if (latency() == 0) {
+      op.out = out;
+      lowering.combinational(op);
+      return;
     }
-    return reader.ok();
+    op.out = lowering.scratch();
+    Op drive(OpCode::kLineOut, &pipe_);
+    drive.out = out;
+    Op push(OpCode::kLinePush, &pipe_);
+    push.a = op.out;
+    lowering.output(drive);
+    lowering.latch(op);
+    lowering.latch(push);
+  }
+  void reset() override { pipe_.reset(); }
+
+  void save_state(ckpt::Writer& writer) const override { pipe_.save(writer); }
+  [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
+    return pipe_.load(reader, out_.format());
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
-  [[nodiscard]] unsigned latency() const noexcept { return latency_; }
+  [[nodiscard]] unsigned latency() const noexcept {
+    return static_cast<unsigned>(pipe_.stages.size());
+  }
 
  protected:
   PipelinedFunction(Model& model, std::string name, FixFormat out_format,
                     unsigned latency)
       : Block(model, std::move(name)),
-        latency_(latency),
-        out_(make_output("out", out_format)) {
-    pipe_.assign(latency_, Fix::from_raw(out_format, 0));
-  }
+        out_(make_output("out", out_format)),
+        pipe_{std::vector<i64>(latency, 0)} {}
 
-  /// Evaluate the combinational function from the current inputs.
-  [[nodiscard]] virtual Fix compute() const = 0;
+  /// The combinational function as an op over the current inputs; lower()
+  /// fills in the destination slot.
+  [[nodiscard]] virtual Op function(Lowering& lowering) const = 0;
 
  private:
-  unsigned latency_;
   Signal& out_;
-  std::deque<Fix> pipe_;
+  DelayLine pipe_;
 };
 
 // ---------------------------------------------------------------------------
@@ -186,10 +204,24 @@ class AddSub : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const Fix full = mode_ == Mode::kAdd ? in(0).value().add_full(in(1).value())
-                                         : in(0).value().sub_full(in(1).value());
-    return full.cast(outputs()[0]->format(), quantization_, overflow_);
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    const FixFormat& a = in(0).format();
+    const FixFormat& b = in(1).format();
+    FixFormat full;
+    try {
+      full = mode_ == Mode::kAdd ? Fix::add_format(a, b)
+                                 : Fix::sub_format(a, b);
+    } catch (const SimError& error) {
+      throw SimError("AddSub '" + name() + "': " + error.what());
+    }
+    Op op(mode_ == Mode::kAdd ? OpCode::kAdd : OpCode::kSub);
+    op.cast = Cast::make(full, outputs()[0]->format(), quantization_,
+                         overflow_);
+    op.sa = static_cast<u8>(full.frac_bits - a.frac_bits);
+    op.sb = static_cast<u8>(full.frac_bits - b.frac_bits);
+    op.a = lowering.slot(in(0));
+    op.b = lowering.slot(in(1));
+    return op;
   }
 
   Mode mode_;
@@ -224,9 +256,16 @@ class Mult : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().mul_full(in(1).value()).cast(
-        outputs()[0]->format(), quantization_, overflow_);
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    const FixFormat full = Fix::mul_format(in(0).format(), in(1).format());
+    Op op(OpCode::kMul);
+    op.cast = Cast::make(full, outputs()[0]->format(), quantization_,
+                         overflow_);
+    op.a = lowering.slot(in(0));
+    op.b = lowering.slot(in(1));
+    op.k = full.max_raw();
+    op.k2 = full.min_raw();
+    return op;
   }
 
   Quantization quantization_;
@@ -247,8 +286,12 @@ class Negate : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().negate_full().cast(outputs()[0]->format());
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    Op op(OpCode::kNegate);
+    op.cast = Cast::make(Fix::negate_format(in(0).format()),
+                         outputs()[0]->format());
+    op.a = lowering.slot(in(0));
+    return op;
   }
 };
 
@@ -274,9 +317,12 @@ class Convert : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    return in(0).value().cast(outputs()[0]->format(), quantization_,
-                              overflow_);
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    Op op(OpCode::kConvert);
+    op.cast = Cast::make(in(0).format(), outputs()[0]->format(),
+                         quantization_, overflow_);
+    op.a = lowering.slot(in(0));
+    return op;
   }
 
   Quantization quantization_;
@@ -297,12 +343,14 @@ class ShiftConst : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const Fix& a = in(0).value();
-    if (direction_ == Direction::kRightArithmetic) {
-      return a.shift_right_keep_format(amount_);
-    }
-    return Fix::from_raw(a.format(), a.raw() << amount_);
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    // Shifting by 63 or more leaves only sign (right) or zero (left) bits.
+    Op op(direction_ == Direction::kRightArithmetic ? OpCode::kShiftRight
+                                                    : OpCode::kShiftLeft);
+    op.cast = Cast::wrap_to(in(0).format());
+    op.a = lowering.slot(in(0));
+    op.k = std::min(amount_, 63u);
+    return op;
   }
 
   Direction direction_;
@@ -334,11 +382,12 @@ class VariableShiftRight : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const auto amount = static_cast<u64>(in(1).raw());
-    const unsigned clamped =
-        static_cast<unsigned>(std::min<u64>(amount, max_shift_));
-    return in(0).value().shift_right_keep_format(clamped);
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    Op op(OpCode::kVarShiftRight);
+    op.a = lowering.slot(in(0));
+    op.b = lowering.slot(in(1));
+    op.k = std::min(max_shift_, 63u);
+    return op;
   }
 
   unsigned max_shift_;
@@ -376,10 +425,13 @@ class Mux : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= fan_in_) index = fan_in_ - 1;  // clamp like the HW core
-    return in(1 + static_cast<std::size_t>(index)).value();
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    // An out-of-range select picks the last input, like the HW core.
+    Op op(OpCode::kMux);
+    op.a = lowering.slot(in(0));
+    op.b = lowering.operand_list(inputs(), 1);
+    op.c = fan_in_;
+    return op;
   }
 
   unsigned fan_in_;
@@ -406,18 +458,32 @@ class Relational : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const auto ordering = in(0).value().compare(in(1).value());
-    bool result = false;
+  [[nodiscard]] sysgen::Op function(Lowering& lowering) const override {
+    // Align both binary points exactly; 128-bit only when a shifted
+    // operand could leave the i64 range.
+    const FixFormat& a = in(0).format();
+    const FixFormat& b = in(1).format();
+    const int frac = std::max(a.frac_bits, b.frac_bits);
+    const int sa = frac - a.frac_bits;
+    const int sb = frac - b.frac_bits;
+    const bool wide = a.word_bits + sa > 63 || b.word_bits + sb > 63;
+    // Result per ordering, bit 0: less, bit 1: equal, bit 2: greater.
+    i64 table = 0;
     switch (op_) {
-      case Op::kEq: result = ordering == std::strong_ordering::equal; break;
-      case Op::kNe: result = ordering != std::strong_ordering::equal; break;
-      case Op::kLt: result = ordering == std::strong_ordering::less; break;
-      case Op::kLe: result = ordering != std::strong_ordering::greater; break;
-      case Op::kGt: result = ordering == std::strong_ordering::greater; break;
-      case Op::kGe: result = ordering != std::strong_ordering::less; break;
+      case Op::kEq: table = 0b010; break;
+      case Op::kNe: table = 0b101; break;
+      case Op::kLt: table = 0b001; break;
+      case Op::kLe: table = 0b011; break;
+      case Op::kGt: table = 0b100; break;
+      case Op::kGe: table = 0b110; break;
     }
-    return Fix::from_raw(FixFormat::unsigned_fix(1, 0), result ? 1 : 0);
+    sysgen::Op op(wide ? OpCode::kCompareWide : OpCode::kCompare);
+    op.sa = static_cast<u8>(sa);
+    op.sb = static_cast<u8>(sb);
+    op.a = lowering.slot(in(0));
+    op.b = lowering.slot(in(1));
+    op.k = table;
+    return op;
   }
 
   Op op_;
@@ -448,23 +514,20 @@ class Logical : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const FixFormat fmt = outputs()[0]->format();
-    const u64 mask = low_mask64(fmt.word_bits);
-    u64 acc = static_cast<u64>(in(0).raw()) & mask;
+  [[nodiscard]] sysgen::Op function(Lowering& lowering) const override {
+    OpCode code = OpCode::kAnd;
+    if (op_ == Op::kOr) code = OpCode::kOr;
+    if (op_ == Op::kXor) code = OpCode::kXor;
+    if (op_ == Op::kNot) code = OpCode::kNot;
+    sysgen::Op op(code);
+    op.cast = Cast::wrap_to(outputs()[0]->format());
     if (op_ == Op::kNot) {
-      return Fix::from_raw(fmt, static_cast<i64>(~acc & mask));
+      op.a = lowering.slot(in(0));
+    } else {
+      op.b = lowering.operand_list(inputs());
+      op.c = static_cast<u32>(inputs().size());
     }
-    for (std::size_t i = 1; i < inputs().size(); ++i) {
-      const u64 operand = static_cast<u64>(in(i).raw()) & mask;
-      switch (op_) {
-        case Op::kAnd: acc &= operand; break;
-        case Op::kOr: acc |= operand; break;
-        case Op::kXor: acc ^= operand; break;
-        case Op::kNot: break;
-      }
-    }
-    return Fix::from_raw(fmt, static_cast<i64>(acc));
+    return op;
   }
 
   Op op_;
@@ -488,10 +551,12 @@ class Slice : public PipelinedFunction {
   }
 
  private:
-  [[nodiscard]] Fix compute() const override {
-    const u64 raw_value = static_cast<u64>(in(0).raw()) >> low_;
-    return Fix::from_raw(outputs()[0]->format(),
-                         static_cast<i64>(raw_value));
+  [[nodiscard]] Op function(Lowering& lowering) const override {
+    Op op(OpCode::kSlice);
+    op.cast = Cast::wrap_to(outputs()[0]->format());
+    op.a = lowering.slot(in(0));
+    op.k = low_;
+    return op;
   }
 
   unsigned low_;
@@ -517,7 +582,7 @@ class Register : public Block {
   Register(Model& model, std::string name, Fix init, Signal* enable = nullptr)
       : Block(model, std::move(name)),
         init_(init),
-        state_(init),
+        state_(init.raw()),
         out_(make_output("q", init.format())) {
     if (enable != nullptr) {
       enable_index_ = static_cast<int>(inputs().size());
@@ -539,22 +604,26 @@ class Register : public Block {
       throw SimError("Register '" + name() + "': data input never connected");
     }
   }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    if (enable_index_ >= 0 &&
-        !in(static_cast<std::size_t>(enable_index_)).as_bool()) {
-      return;
+  void lower(Lowering& lowering) override {
+    Op drive(OpCode::kLoad, &state_);
+    drive.out = lowering.slot(out_);
+    lowering.output(drive);
+    const Signal& d = in(static_cast<std::size_t>(d_index_));
+    Op capture(OpCode::kRegister, &state_);
+    capture.cast = Cast::make(d.format(), init_.format());
+    capture.a = lowering.slot(d);
+    if (enable_index_ >= 0) {
+      capture.b = lowering.slot(in(static_cast<std::size_t>(enable_index_)));
     }
-    state_ = in(static_cast<std::size_t>(d_index_)).value().cast(
-        init_.format());
+    lowering.latch(capture);
   }
-  void reset() override { state_ = init_; }
+  void reset() override { state_ = init_.raw(); }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_.raw());
+    writer.write_i64(state_);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = Fix::from_raw(init_.format(), reader.read_i64());
+    state_ = init_.format().wrap(reader.read_i64());
     return reader.ok();
   }
 
@@ -566,7 +635,7 @@ class Register : public Block {
 
  private:
   Fix init_;
-  Fix state_;
+  i64 state_;
   int d_index_ = -1;
   int enable_index_ = -1;
   Signal& out_;
@@ -577,50 +646,43 @@ class Delay : public Block {
  public:
   Delay(Model& model, std::string name, Signal& d, unsigned cycles)
       : Block(model, std::move(name)),
-        cycles_(cycles),
-        out_(make_output("out", d.format())) {
+        out_(make_output("out", d.format())),
+        line_{std::vector<i64>(cycles, 0)} {
     if (cycles == 0) {
       throw SimError("Delay '" + this->name() +
                      "': zero-cycle delay is a wire, use the signal");
     }
     connect_input(d);
-    line_.assign(cycles_, Fix::from_raw(d.format(), 0));
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(line_.front()); }
-  void latch() override {
-    line_.push_back(in(0).value());
-    line_.pop_front();
+  void lower(Lowering& lowering) override {
+    Op drive(OpCode::kLineOut, &line_);
+    drive.out = lowering.slot(out_);
+    lowering.output(drive);
+    Op push(OpCode::kLinePush, &line_);
+    push.a = lowering.slot(in(0));
+    lowering.latch(push);
   }
-  void reset() override {
-    for (auto& stage : line_) stage = Fix::from_raw(out_.format(), 0);
-  }
+  void reset() override { line_.reset(); }
 
-  void save_state(ckpt::Writer& writer) const override {
-    writer.write_u32(cycles_);
-    for (const Fix& stage : line_) writer.write_i64(stage.raw());
-  }
+  void save_state(ckpt::Writer& writer) const override { line_.save(writer); }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    if (reader.read_u32() != cycles_) return false;
-    for (Fix& stage : line_) {
-      stage = Fix::from_raw(out_.format(), reader.read_i64());
-    }
-    return reader.ok();
+    return line_.load(reader, out_.format());
   }
 
   [[nodiscard]] ResourceVec resources() const override {
     // SRL16: one LUT per bit covers up to 16 stages.
     const unsigned width = out_.format().word_bits;
-    return ResourceVec{ceil_div(width * ceil_div(cycles_, 16u), 2u), 0, 0};
+    const auto cycles = static_cast<unsigned>(line_.stages.size());
+    return ResourceVec{ceil_div(width * ceil_div(cycles, 16u), 2u), 0, 0};
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  unsigned cycles_;
   Signal& out_;
-  std::deque<Fix> line_;
+  DelayLine line_;
 };
 
 /// Counter: free-running or enabled up-counter with wrap-around.
@@ -647,17 +709,19 @@ class Counter : public Block {
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive_raw(value_); }
-  void latch() override {
-    if (reset_index_ >= 0 && in(static_cast<std::size_t>(reset_index_)).as_bool()) {
-      value_ = 0;
-      return;
-    }
-    if (enable_index_ >= 0 &&
-        !in(static_cast<std::size_t>(enable_index_)).as_bool()) {
-      return;
-    }
-    value_ = (value_ + 1) % limit_;
+  void lower(Lowering& lowering) override {
+    auto optional_slot = [&](int index) {
+      return index < 0 ? kNoSlot
+                       : lowering.slot(in(static_cast<std::size_t>(index)));
+    };
+    Op drive(OpCode::kLoad, &value_);
+    drive.out = lowering.slot(out_);
+    lowering.output(drive);
+    Op count(OpCode::kCounter, &value_);
+    count.a = optional_slot(enable_index_);
+    count.b = optional_slot(reset_index_);
+    count.k = limit_;
+    lowering.latch(count);
   }
   void reset() override { value_ = 0; }
 

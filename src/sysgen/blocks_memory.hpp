@@ -3,7 +3,6 @@
 // 18 Kbit block RAMs; small memories map to distributed (slice) RAM.
 #pragma once
 
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "sysgen/block.hpp"
 #include "sysgen/blocks_basic.hpp"
 #include "sysgen/model.hpp"
+#include "sysgen/schedule.hpp"
 
 namespace mbcosim::sysgen {
 
@@ -33,54 +33,52 @@ inline ResourceVec memory_resources(std::size_t depth, unsigned width_bits) {
 class Rom : public Block {
  public:
   Rom(Model& model, std::string name, Signal& address,
-      std::vector<Fix> contents)
+      const std::vector<Fix>& contents)
       : Block(model, std::move(name)),
-        contents_(std::move(contents)),
-        out_(make_output("data",
-                         contents_.empty() ? FixFormat{}
-                                           : contents_.front().format())),
-        pending_(Fix::from_raw(out_.format(), 0)),
-        state_(pending_) {
-    if (contents_.empty()) {
+        out_(make_output("data", contents.empty()
+                                     ? FixFormat{}
+                                     : contents.front().format())) {
+    if (contents.empty()) {
       throw SimError("Rom '" + this->name() + "': empty contents");
     }
-    for (const Fix& word : contents_) {
-      if (word.format() != contents_.front().format()) {
+    for (const Fix& word : contents) {
+      if (word.format() != contents.front().format()) {
         throw SimError("Rom '" + this->name() + "': mixed word formats");
       }
+      memory_.cells.push_back(word.raw());
     }
     connect_input(address);
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= contents_.size()) index = contents_.size() - 1;
-    state_ = contents_[static_cast<std::size_t>(index)];
+  void lower(Lowering& lowering) override {
+    Op drive(OpCode::kLoad, &memory_.read);
+    drive.out = lowering.slot(out_);
+    lowering.output(drive);
+    Op read(OpCode::kMemRead, &memory_);
+    read.a = lowering.slot(in(0));
+    lowering.latch(read);
   }
-  void reset() override { state_ = Fix::from_raw(out_.format(), 0); }
+  void reset() override { memory_.read = 0; }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_i64(state_.raw());
+    writer.write_i64(memory_.read);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    state_ = Fix::from_raw(out_.format(), reader.read_i64());
+    memory_.read = out_.format().wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(contents_.size(),
+    return detail::memory_resources(memory_.cells.size(),
                                     out_.format().word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
 
  private:
-  std::vector<Fix> contents_;
   Signal& out_;
-  Fix pending_;
-  Fix state_;
+  Memory memory_;
 };
 
 /// Single-port RAM: synchronous write, synchronous read (read-before-
@@ -92,9 +90,8 @@ class SinglePortRam : public Block {
                 Signal& write_enable)
       : Block(model, std::move(name)),
         word_format_(word_format),
-        cells_(depth, Fix::from_raw(word_format, 0)),
         out_(make_output("data", word_format)),
-        state_(Fix::from_raw(word_format, 0)) {
+        memory_{std::vector<i64>(depth, 0)} {
     if (depth == 0) {
       throw SimError("SinglePortRam '" + this->name() + "': zero depth");
     }
@@ -104,54 +101,54 @@ class SinglePortRam : public Block {
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-  void output_state() override { out_.drive(state_); }
-  void latch() override {
-    auto index = static_cast<u64>(in(0).raw());
-    if (index >= cells_.size()) index = cells_.size() - 1;
-    const auto slot = static_cast<std::size_t>(index);
-    state_ = cells_[slot];  // read-before-write
-    if (in(2).as_bool()) {
-      cells_[slot] = in(1).value().cast(word_format_);
-    }
+  void lower(Lowering& lowering) override {
+    Op drive(OpCode::kLoad, &memory_.read);
+    drive.out = lowering.slot(out_);
+    lowering.output(drive);
+    Op access(OpCode::kMemAccess, &memory_);
+    access.cast = Cast::make(in(1).format(), word_format_);
+    access.a = lowering.slot(in(0));
+    access.b = lowering.slot(in(1));
+    access.c = lowering.slot(in(2));
+    lowering.latch(access);
   }
   void reset() override {
-    for (auto& cell : cells_) cell = Fix::from_raw(word_format_, 0);
-    state_ = Fix::from_raw(word_format_, 0);
+    for (i64& cell : memory_.cells) cell = 0;
+    memory_.read = 0;
   }
 
   void save_state(ckpt::Writer& writer) const override {
-    writer.write_u64(cells_.size());
-    for (const Fix& cell : cells_) writer.write_i64(cell.raw());
-    writer.write_i64(state_.raw());
+    writer.write_u64(memory_.cells.size());
+    for (const i64 cell : memory_.cells) writer.write_i64(cell);
+    writer.write_i64(memory_.read);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
-    if (reader.read_u64() != cells_.size()) return false;
-    for (Fix& cell : cells_) {
-      cell = Fix::from_raw(word_format_, reader.read_i64());
-    }
-    state_ = Fix::from_raw(word_format_, reader.read_i64());
+    if (reader.read_u64() != memory_.cells.size()) return false;
+    for (i64& cell : memory_.cells) cell = word_format_.wrap(reader.read_i64());
+    memory_.read = word_format_.wrap(reader.read_i64());
     return reader.ok();
   }
 
   [[nodiscard]] ResourceVec resources() const override {
-    return detail::memory_resources(cells_.size(), word_format_.word_bits);
+    return detail::memory_resources(memory_.cells.size(),
+                                    word_format_.word_bits);
   }
 
   [[nodiscard]] Signal& out() noexcept { return out_; }
   /// Debug peek for tests.
-  [[nodiscard]] const Fix& cell(std::size_t index) const {
-    return cells_.at(index);
+  [[nodiscard]] Fix cell(std::size_t index) const {
+    return Fix::from_raw(word_format_, memory_.cells.at(index));
   }
 
  private:
   FixFormat word_format_;
-  std::vector<Fix> cells_;
   Signal& out_;
-  Fix state_;
+  Memory memory_;
 };
 
 /// Synchronous FIFO with write/read enables and full/empty flags — the
-/// hardware-side equivalent of the FSL FIFO buffer.
+/// hardware-side equivalent of the FSL FIFO buffer. An empty FIFO drives
+/// a zero word.
 class FifoBlock : public Block {
  public:
   FifoBlock(Model& model, std::string name, std::size_t depth,
@@ -162,8 +159,7 @@ class FifoBlock : public Block {
         word_format_(word_format),
         data_out_(make_output("dout", word_format)),
         empty_(make_output("empty", FixFormat::unsigned_fix(1, 0))),
-        full_(make_output("full", FixFormat::unsigned_fix(1, 0))),
-        head_(Fix::from_raw(word_format, 0)) {
+        full_(make_output("full", FixFormat::unsigned_fix(1, 0))) {
     if (depth_ == 0) {
       throw SimError("FifoBlock '" + this->name() + "': zero depth");
     }
@@ -173,30 +169,33 @@ class FifoBlock : public Block {
   }
 
   [[nodiscard]] bool is_sequential() const override { return true; }
-
-  void output_state() override {
-    data_out_.drive(fifo_.empty() ? head_ : fifo_.front());
-    empty_.drive_raw(fifo_.empty() ? 1 : 0);
-    full_.drive_raw(fifo_.size() >= depth_ ? 1 : 0);
-  }
-  void latch() override {
-    if (in(2).as_bool() && !fifo_.empty()) fifo_.pop_front();
-    if (in(1).as_bool() && fifo_.size() < depth_) {
-      fifo_.push_back(in(0).value().cast(word_format_));
-    }
+  void lower(Lowering& lowering) override {
+    Op drive(OpCode::kFifoOut, &fifo_);
+    drive.out = lowering.slot(data_out_);
+    drive.a = lowering.slot(empty_);
+    drive.b = lowering.slot(full_);
+    drive.k = static_cast<i64>(depth_);
+    lowering.output(drive);
+    Op update(OpCode::kFifoLatch, &fifo_);
+    update.cast = Cast::make(in(0).format(), word_format_);
+    update.a = lowering.slot(in(0));
+    update.b = lowering.slot(in(1));
+    update.c = lowering.slot(in(2));
+    update.k = static_cast<i64>(depth_);
+    lowering.latch(update);
   }
   void reset() override { fifo_.clear(); }
 
   void save_state(ckpt::Writer& writer) const override {
     writer.write_u64(fifo_.size());
-    for (const Fix& word : fifo_) writer.write_i64(word.raw());
+    for (const i64 word : fifo_) writer.write_i64(word);
   }
   [[nodiscard]] bool load_state(ckpt::Reader& reader) override {
     const u64 occupancy = reader.read_u64();
     if (!reader.ok() || occupancy > depth_) return false;
     fifo_.clear();
     for (u64 i = 0; i < occupancy; ++i) {
-      fifo_.push_back(Fix::from_raw(word_format_, reader.read_i64()));
+      fifo_.push_back(word_format_.wrap(reader.read_i64()));
     }
     return reader.ok();
   }
@@ -218,8 +217,7 @@ class FifoBlock : public Block {
   Signal& data_out_;
   Signal& empty_;
   Signal& full_;
-  Fix head_;
-  std::deque<Fix> fifo_;
+  FifoQueue fifo_;
 };
 
 }  // namespace mbcosim::sysgen

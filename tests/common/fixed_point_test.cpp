@@ -104,6 +104,21 @@ TEST(Fix, SubFullIsSigned) {
   EXPECT_DOUBLE_EQ(diff.to_double(), -10.0);
 }
 
+TEST(Fix, AddSubFullBeyond63BitsThrows) {
+  // 60 fraction bits plus 63 + 1 integer bits: the exact sum needs 124
+  // bits, which no 63-bit format holds; a clamped format would silently
+  // drop integer bits (the sum cast to Fix63_0 would read -8).
+  const Fix a = Fix::from_raw(FixFormat::signed_fix(63, 60), 1);
+  const Fix b = Fix::from_int(FixFormat::signed_fix(63, 0), 1000);
+  EXPECT_THROW((void)a.add_full(b), SimError);
+  EXPECT_THROW((void)a.sub_full(b), SimError);
+  EXPECT_THROW((void)Fix::add_format(a.format(), b.format()), SimError);
+  // Exactly 63 bits is still fine.
+  const Fix c = Fix::from_int(FixFormat::signed_fix(62, 0), 1000);
+  EXPECT_EQ(c.add_full(c).format(), FixFormat::signed_fix(63, 0));
+  EXPECT_EQ(c.add_full(c).raw(), 2000);
+}
+
 TEST(Fix, MulFullExact) {
   const FixFormat f = FixFormat::signed_fix(16, 8);
   const Fix a = Fix::from_double(f, 3.5);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sysgen/model.hpp"
 
 namespace mbcosim::sysgen {
@@ -60,6 +62,25 @@ TEST(Blocks, AddSubSaturateMode) {
   b.set_raw(100);
   m.step();
   EXPECT_EQ(out.read_raw(), 127);
+}
+
+TEST(Blocks, AddSubWiderThan63BitsRejectedAtElaboration) {
+  Model m("wide");
+  auto& a = m.add<Constant>(
+      "a", Fix::from_raw(FixFormat::signed_fix(63, 60), 1));
+  auto& b = m.add<Constant>(
+      "b", Fix::from_int(FixFormat::signed_fix(63, 0), 1000));
+  m.add<AddSub>("sum", AddSub::Mode::kAdd, a.out(), b.out(),
+                FixFormat::signed_fix(63, 0));
+  try {
+    m.elaborate();
+    FAIL() << "a 124-bit full-precision sum was accepted";
+  } catch (const SimError& error) {
+    EXPECT_NE(std::string(error.what()).find("AddSub 'sum'"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_FALSE(m.elaborated());
 }
 
 TEST(Blocks, AddSubWithLatency) {
