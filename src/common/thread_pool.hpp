@@ -1,7 +1,10 @@
 // A fixed pool of std::jthread workers draining a FIFO work queue.
 // Shared by the design-space sweep engine (sim::Sweep, one job per
-// configuration point) and the manycore co-simulation engine
-// (core::ManyCoreEngine, one job per core per quantum round).
+// configuration point) and fault campaigns (fault::Campaign, one job per
+// experiment): coarse, independent jobs. Multi-core co-simulation does
+// not use it — core::ManyCoreEngine runs its per-round fan-out on fixed
+// lanes with a spin-then-park barrier (core/manycore.cpp), which a
+// mutex-and-condvar queue is too slow for at one round per 64 cycles.
 // Destroying the pool stops the workers after their current job; jobs
 // still queued are abandoned (call wait_idle() first to drain).
 #pragma once

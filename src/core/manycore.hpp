@@ -8,25 +8,34 @@
 // machine description, independent of host thread count or scheduling.
 //
 // Execution model (conservative quantum synchronization):
-//   - Time advances in rounds. In each round every unfinished core runs
-//     alone — its processor, its peripherals, its private FIFOs — up to
-//     the shared target `global_cycle + quantum`, possibly on a worker
-//     thread. Cores share no mutable state during a round.
-//   - At the round barrier the orchestrator thread moves words across
-//     the declared cross-core links in declaration order, bounded by
-//     destination FIFO space. A word written in round R is thus visible
-//     to its reader in round R+1 — the quantum is the link latency.
+//   - Time advances in rounds that end on the absolute quantum grid
+//     (q, 2q, 3q, ...). In each round every unfinished core runs alone
+//     — its processor, its peripherals, its private FIFOs — up to the
+//     shared target, the next quantum multiple (or the run's budget, if
+//     that comes first). Cores share no mutable state during a round.
+//   - At each quantum multiple the orchestrator thread moves words
+//     across the declared cross-core links in declaration order,
+//     bounded by destination FIFO space. A word written in round R is
+//     thus visible to its reader in round R+1 — the quantum is the link
+//     latency. A round cut short by the budget transfers nothing, and
+//     the next run() finishes it, so where a run is cut (or
+//     checkpointed and restored) never moves a barrier.
 //   - A core blocked on an empty (or full) cross-linked FIFO burns
-//     stall cycles to the quantum boundary exactly like a single-core
+//     stall cycles to the round target exactly like a single-core
 //     processor blocked on slow hardware, so cycle accounting never
 //     depends on what the other cores happened to be doing.
+//
+// Host threads: each run() call runs its rounds on fixed lanes — the
+// calling thread plus helper threads that live only for that call. A
+// core always runs on the same lane, and lanes meet at a spin-then-park
+// barrier (see manycore.cpp).
 //
 // Determinism: rounds are sequential; within a round each core touches
 // only core-local state; barrier transfers run on one thread in fixed
 // order. Worker count changes which host thread executes a core's
-// quantum — never the order of operations any simulated component
+// round — never the order of operations any simulated component
 // observes. The machine determinism test asserts byte-identical stats
-// and traces at 1, 2 and N workers (tests/machine).
+// and traces at 1, 2, 3 and N workers (tests/machine).
 #pragma once
 
 #include <cstddef>
@@ -40,10 +49,6 @@
 #include "fsl/fsl_channel.hpp"
 #include "fsl/fsl_hub.hpp"
 #include "iss/processor.hpp"
-
-namespace mbcosim {
-class ThreadPool;  // common/thread_pool.hpp
-}
 
 namespace mbcosim::ckpt {
 class Writer;
@@ -84,8 +89,10 @@ class ManyCoreEngine {
   Status link(std::size_t from_core, unsigned from_channel,
               std::size_t to_core, unsigned to_channel);
 
-  /// Worker threads for the per-round core fan-out. 0 = one per host
-  /// hardware thread; 1 = fully serial. Purely a host-performance knob:
+  /// Host threads (lanes) that advance the cores in each round: run()
+  /// uses min(workers, unfinished cores, hardware threads) of them, the
+  /// calling thread included. 0 = one per host hardware thread; 1 =
+  /// fully serial on the calling thread. Purely a host-performance knob:
   /// results are identical for every value.
   void set_workers(unsigned workers) noexcept { workers_ = workers; }
 
@@ -98,6 +105,8 @@ class ManyCoreEngine {
 
   /// Run the machine until every core halts, any core traps, the
   /// machine deadlocks, or `max_cycles` is reached (per-core clock).
+  /// Rounds end on quantum multiples, so a run cut at any budget and
+  /// resumed gives the same result as one uncut run.
   MachineStop run(Cycle max_cycles);
 
   /// One debugger step of core `index`: step its processor once, bring
@@ -136,15 +145,16 @@ class ManyCoreEngine {
 
   [[nodiscard]] Cycle quantum() const noexcept { return quantum_; }
 
-  /// Forget run progress — finished flags, link word counter, halt
-  /// attribution, deadlock diagnosis. Call after resetting every core's
-  /// engine (the caller owns them, so the reset loop lives there, in
-  /// sim::SimSystem).
+  /// Forget run progress — finished flags, round position, link word
+  /// counter, halt attribution, deadlock diagnosis. Call after resetting
+  /// every core's engine (the caller owns them, so the reset loop lives
+  /// there, in sim::SimSystem).
   void reset_progress() noexcept {
     for (Node& node : nodes_) {
       node.finished = false;
       node.last = StopReason::kCycleLimit;
     }
+    round_end_ = 0;
     link_words_ = 0;
     last_deadlock_.reset();
     deadlock_core_ = 0;
@@ -153,10 +163,10 @@ class ManyCoreEngine {
   }
 
   /// Checkpoint the engine's own run progress — per-core finished flags
-  /// and last stop reasons, the link word counter, halt attribution.
-  /// Core components (processors, engines, hubs) are serialized by
-  /// their owner; the deadlock diagnosis is diagnostic output and is
-  /// cleared on restore.
+  /// and last stop reasons, the round position, the link word counter,
+  /// halt attribution. Core components (processors, engines, hubs) are
+  /// serialized by their owner; the deadlock diagnosis is diagnostic
+  /// output and is cleared on restore.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
@@ -180,9 +190,13 @@ class ManyCoreEngine {
   /// Drain every link's source FIFO into its sink FIFO, bounded by
   /// space; returns the number of words moved. Runs on one thread only.
   u64 transfer_links();
-  /// Advance every unfinished core to `target`, serially (null pool) or
-  /// fanned out; returns the index of a trapped core, or nodes_.size().
-  std::size_t run_round(Cycle target, ThreadPool* pool);
+  /// The host threads of one run() call (manycore.cpp).
+  class Lanes;
+
+  /// Advance core `index` to `target` unless it has halted. Touches only
+  /// that core's node and components, so lanes may call it concurrently
+  /// for distinct cores.
+  void advance(std::size_t index, Cycle target);
   /// Record that core `index` halted at its current clock. Runs on the
   /// orchestrator thread only (callers diff finished flags after the
   /// round barrier); keeps the latest halt, ties to the highest index.
@@ -191,6 +205,10 @@ class ManyCoreEngine {
   std::vector<Node> nodes_;
   std::vector<CrossLink> links_;
   Cycle quantum_ = 64;
+  /// Cycle the last round (or debugger step) ended at: every unfinished
+  /// core's clock is at or past it, and the next round ends at the next
+  /// quantum multiple above it.
+  Cycle round_end_ = 0;
   unsigned workers_ = 0;
   Cycle deadlock_threshold_ = 100'000;
   u64 link_words_ = 0;

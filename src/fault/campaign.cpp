@@ -161,18 +161,10 @@ Expected<CampaignReport> run_campaign(const CampaignConfig& config,
     if (earliest > 1 && earliest < config.max_cycles) {
       if (auto base = factory(nullptr); base.ok()) {
         sim::SimSystem system = std::move(base).value();
-        Cycle fork_cycle = earliest;
-        if (const core::ManyCoreEngine* engine = system.machine_engine()) {
-          // Machine rounds transfer the cross-links at quantum
-          // barriers. Snapshot on a barrier, so the resumed run's
-          // rounds fall on the same cycles an unforked run's would.
-          fork_cycle = earliest - earliest % engine->quantum();
-        }
         // The prefix must still be running at the fork point; a base
         // that halts or faults first makes forking pointless (every
         // faulted run reaches the same terminal state before firing).
-        if (fork_cycle > 1 &&
-            system.run(fork_cycle) == core::StopReason::kCycleLimit) {
+        if (system.run(earliest) == core::StopReason::kCycleLimit) {
           fork_image = system.snapshot();
           have_fork = true;
         }

@@ -37,9 +37,9 @@
 
 namespace mbcosim::sim {
 
-/// The worker pool now lives in common/thread_pool.hpp so the manycore
-/// co-simulation engine (core::ManyCoreEngine) can share it; this alias
-/// keeps the historical sim::ThreadPool spelling working.
+/// The worker pool lives in common/thread_pool.hpp (fault campaigns use
+/// it too); this alias keeps the historical sim::ThreadPool spelling
+/// working.
 using ThreadPool = mbcosim::ThreadPool;
 
 /// One row of the sweep result table.

@@ -112,6 +112,22 @@ std::string drain(rsp::Transport& wire, int deadline_ms = kDeadlineMs) {
   return raw;
 }
 
+/// Read until the end of a reply's status line and headers (or the
+/// deadline); returns everything read so far, which may run past them.
+std::string read_head(rsp::Transport& wire) {
+  std::string raw;
+  const auto start = std::chrono::steady_clock::now();
+  while (raw.find("\r\n\r\n") == std::string::npos && !wire.closed()) {
+    raw += wire.recv(50);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    if (std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+            .count() > kDeadlineMs) {
+      break;
+    }
+  }
+  return raw;
+}
+
 std::string request_text(const std::string& method, const std::string& path,
                          const std::string& body,
                          const std::string& content_type) {
@@ -267,9 +283,12 @@ TEST_F(ServerE2E, ConcurrentSessionsMatchBatchWithWireCheckpointRestore) {
   ASSERT_NE(stream_wire, nullptr);
   ASSERT_TRUE(stream_wire->send(request_text(
       "GET", "/sessions/" + std::to_string(traced) + "/stream", "", "")));
-  std::string stream_raw;
+  // The service subscribes before it sends the stream's headers, so
+  // once they arrive no event of the run below can be missed.
+  std::string stream_raw = read_head(*stream_wire);
+  ASSERT_NE(stream_raw.find("\r\n\r\n"), std::string::npos);
   std::thread stream_reader(
-      [&] { stream_raw = drain(*stream_wire); });
+      [&] { stream_raw += drain(*stream_wire); });
 
   // Kick all four off together; `stepped` stops at absolute cycle 192
   // so a mid-run checkpoint exists to ship over the wire.

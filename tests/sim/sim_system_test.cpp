@@ -374,11 +374,9 @@ SimSystem::Builder cordic_p4() {
   return builder;
 }
 
-// Two cores, each driving its own block-multiplier peripheral. The
-// cores share no link, so their quantum rounds carry no cross-core
-// traffic and a cut at any cycle is exact. (A cross-linked machine
-// re-anchors its link barriers at a cut off a quantum multiple; see
-// DESIGN.md §11.)
+// Two cores, each driving its own block-multiplier peripheral, sharing
+// no link. (The linked three-core farm further down covers cuts across
+// cross-core traffic.)
 SimSystem::Builder matmul_two_core() {
   namespace matmul = mbcosim::apps::matmul;
   apps::register_machine_peripherals();
@@ -691,6 +689,268 @@ TEST(SimSystemRunLoop, PcTriggeredRunReportsDeadlockLikeAFreeRun) {
   EXPECT_NE(free_trace.find("\"deadlock\""), std::string::npos);
   EXPECT_EQ(pc_trace, free_trace);
   EXPECT_FALSE(pc_system.fault_injector()->armed_or_fired());
+}
+
+// ------------------------------------------ linked machine, any cut
+
+// Three cores over two cross-core links: the feeder streams four (x, y)
+// pairs per pass to the worker, whose 4-PE CORDIC pipeline divides
+// them, and the worker forwards the quotients to the collector. 500
+// passes take more than 50000 cycles, with the cores blocking on each
+// other's links all the way. Link barriers sit on quantum multiples
+// however a run is cut, so every chunking and every restore must
+// reproduce the uncut run.
+constexpr const char* kLinkedFeeder = R"(
+start:
+  li r25, 500
+pass_loop:
+  la r21, data_x
+  la r22, data_y
+  li r29, 16
+  addk r10, r0, r0
+item_loop:
+  lw r3, r21, r10
+  put r3, rfsl1
+  lw r4, r22, r10
+  put r4, rfsl1
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, item_loop
+  addik r25, r25, -1
+  bnei r25, pass_loop
+  halt
+data_x:
+  .word 0x01000000
+  .word 0x02000000
+  .word 0x01800000
+  .word 0x04000000
+data_y:
+  .word 0x00800000
+  .word 0x03000000
+  .word 0x00c00000
+  .word 0x01000000
+)";
+
+constexpr const char* kLinkedWorker = R"(
+start:
+  li r25, 500
+pass_loop:
+  cput r0, rfsl0
+  li r5, 4
+send_loop:
+  get r3, rfsl1
+  put r3, rfsl0
+  get r3, rfsl1
+  put r3, rfsl0
+  put r0, rfsl0
+  addik r5, r5, -1
+  bnei r5, send_loop
+  li r5, 4
+recv_loop:
+  get r3, rfsl0
+  get r3, rfsl0
+  get r3, rfsl0
+  put r3, rfsl2
+  addik r5, r5, -1
+  bnei r5, recv_loop
+  addik r25, r25, -1
+  bnei r25, pass_loop
+  halt
+)";
+
+constexpr const char* kLinkedCollector = R"(
+start:
+  li r25, 500
+pass_loop:
+  la r28, results
+  li r29, 16
+  addk r10, r0, r0
+store_loop:
+  get r3, rfsl1
+  sw r3, r28, r10
+  addik r10, r10, 4
+  rsub r3, r10, r29
+  bnei r3, store_loop
+  addik r25, r25, -1
+  bnei r25, pass_loop
+  halt
+results: .space 16
+)";
+
+SimSystem build_linked_farm(unsigned workers) {
+  apps::register_machine_peripherals();
+  machine::MachineDesc desc;
+  machine::CoreDesc feeder;
+  feeder.name = "feeder";
+  feeder.program = kLinkedFeeder;
+  machine::CoreDesc worker;
+  worker.name = "worker";
+  worker.program = kLinkedWorker;
+  machine::CoreDesc collector;
+  collector.name = "collector";
+  collector.program = kLinkedCollector;
+  desc.cores = {feeder, worker, collector};
+  desc.links = {{"feeder", 1, "worker", 1}, {"worker", 2, "collector", 1}};
+  machine::PeripheralDesc pipeline;
+  pipeline.core = "worker";
+  pipeline.type = "cordic";
+  pipeline.channel = 0;
+  pipeline.params["num_pes"] = 4;
+  desc.peripherals = {pipeline};
+  auto built = SimSystem::Builder().machine(std::move(desc)).workers(workers)
+                   .build();
+  EXPECT_TRUE(built.ok()) << built.error();
+  return std::move(built).value();
+}
+
+struct LinkedRun {
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  std::vector<core::CoSimStats> cores;
+  u64 link_words = 0;
+  std::vector<Word> results;
+};
+
+// Run `system` to the end — in one run() when `chunk` is 0, else in
+// run(now + chunk) steps as a hosted session does — and record it.
+LinkedRun finish_linked(SimSystem& system, Cycle chunk) {
+  LinkedRun run;
+  if (chunk == 0) {
+    run.reason = system.run();
+  } else {
+    do {
+      run.reason = system.run(system.stats().cycles + chunk);
+    } while (run.reason == core::StopReason::kCycleLimit);
+  }
+  for (std::size_t i = 0; i < system.core_count(); ++i) {
+    run.cores.push_back(system.core_stats(i));
+  }
+  run.link_words = system.machine_engine()->link_words();
+  for (u32 i = 0; i < 4; ++i) {
+    run.results.push_back(system.word_on(2, "results", i));
+  }
+  return run;
+}
+
+void expect_same_linked_run(const LinkedRun& run, const LinkedRun& whole,
+                            const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(run.reason, whole.reason);
+  EXPECT_EQ(run.link_words, whole.link_words);
+  EXPECT_EQ(run.results, whole.results);
+  ASSERT_EQ(run.cores.size(), whole.cores.size());
+  for (std::size_t i = 0; i < run.cores.size(); ++i) {
+    const core::CoSimStats& got = run.cores[i];
+    const core::CoSimStats& want = whole.cores[i];
+    EXPECT_EQ(got.cycles, want.cycles) << "core " << i;
+    EXPECT_EQ(got.instructions, want.instructions) << "core " << i;
+    EXPECT_EQ(got.fsl_stall_cycles, want.fsl_stall_cycles) << "core " << i;
+    EXPECT_EQ(got.hw_cycles_stepped, want.hw_cycles_stepped) << "core " << i;
+    EXPECT_EQ(got.hw_cycles_skipped, want.hw_cycles_skipped) << "core " << i;
+    EXPECT_EQ(got.bridge.words_to_hw, want.bridge.words_to_hw)
+        << "core " << i;
+    EXPECT_EQ(got.bridge.words_from_hw, want.bridge.words_from_hw)
+        << "core " << i;
+    EXPECT_EQ(got.bridge.refused_writes, want.bridge.refused_writes)
+        << "core " << i;
+  }
+}
+
+TEST(SimSystemRunLoop, LinkedMachineIsCutAndRestoreInvariant) {
+  SimSystem reference = build_linked_farm(1);
+  const LinkedRun whole = finish_linked(reference, 0);
+  ASSERT_EQ(whole.reason, core::StopReason::kHalted);
+  ASSERT_GT(whole.cores[0].cycles, 50'000u);  // the 50000 chunk cuts too
+  ASSERT_EQ(whole.link_words, 500u * 12u);
+  ASSERT_EQ(reference.machine_engine()->quantum(), 64u);
+
+  for (const unsigned workers : {1u, 3u}) {
+    const std::string at = std::to_string(workers) + " workers";
+    for (const Cycle chunk : {37u, 1000u, 50'000u}) {
+      SimSystem system = build_linked_farm(workers);
+      expect_same_linked_run(finish_linked(system, chunk), whole,
+                             "chunks of " + std::to_string(chunk) + ", " +
+                                 at);
+    }
+    // Saved off the quantum grid, restored into a fresh system.
+    for (const Cycle stop : {1000u, 20'011u}) {
+      SimSystem base = build_linked_farm(workers);
+      ASSERT_EQ(base.run(stop), core::StopReason::kCycleLimit);
+      const std::vector<unsigned char> image = base.snapshot();
+      SimSystem restored = build_linked_farm(workers);
+      const Status status = restored.restore_image(image);
+      ASSERT_TRUE(status.ok) << status.message;
+      expect_same_linked_run(finish_linked(restored, 0), whole,
+                             "restored at " + std::to_string(stop) + ", " +
+                                 at);
+    }
+  }
+}
+
+// A cut one cycle short of a barrier, while a core is in the middle of
+// a 34-cycle divide that ends past it: that core's clock is already
+// beyond the barrier when the run resumes, but the barrier must still
+// happen where the uncut run has it. The producer's word waits in its
+// FIFO for the barrier at cycle 64; the consumer is blocked on it.
+TEST(SimSystemRunLoop, CutWhileACoreIsMidInstructionKeepsTheBarrier) {
+  machine::MachineDesc desc;
+  machine::CoreDesc producer;
+  producer.name = "producer";
+  producer.program = R"(
+    li r3, 7
+    li r6, 1000
+    li r7, 3
+    li r9, 4
+    put r3, rfsl2
+  loop:
+    idiv r8, r7, r6
+    addik r9, r9, -1
+    bnei r9, loop
+    halt
+  )";
+  machine::CoreDesc consumer;
+  consumer.name = "consumer";
+  consumer.program = R"(
+    get r3, rfsl1
+    la r5, result
+    swi r3, r5, 0
+    halt
+  result: .space 4
+  )";
+  producer.has_divider = true;
+  desc.cores = {producer, consumer};
+  desc.links = {{"producer", 2, "consumer", 1}};
+  const auto build = [&desc] {
+    auto built = SimSystem::Builder().machine(desc).workers(1).build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    return std::move(built).value();
+  };
+  const auto expect_same = [](SimSystem& run, SimSystem& whole,
+                              const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(run.word_on(1, "result"), 7u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(run.core_stats(i).cycles, whole.core_stats(i).cycles);
+      EXPECT_EQ(run.core_stats(i).fsl_stall_cycles,
+                whole.core_stats(i).fsl_stall_cycles);
+    }
+  };
+
+  SimSystem whole = build();
+  ASSERT_EQ(whole.run(), core::StopReason::kHalted);
+  ASSERT_EQ(whole.machine_engine()->quantum(), 64u);
+
+  SimSystem cut = build();
+  ASSERT_EQ(cut.run(63), core::StopReason::kCycleLimit);
+  ASSERT_GT(cut.core_stats(0).cycles, 64u);  // mid-divide across 64
+  ASSERT_EQ(cut.core_stats(1).cycles, 63u);  // blocked on the link
+  const std::vector<unsigned char> image = cut.snapshot();
+  ASSERT_EQ(cut.run(), core::StopReason::kHalted);
+  expect_same(cut, whole, "cut at 63");
+
+  SimSystem restored = build();
+  ASSERT_TRUE(restored.restore_image(image).ok);
+  ASSERT_EQ(restored.run(), core::StopReason::kHalted);
+  expect_same(restored, whole, "restored at 63");
 }
 
 }  // namespace
