@@ -53,6 +53,8 @@ void CoSimEngine::reset(Addr pc) {
   hw_cycles_ = 0;
   idle_streak_ = 0;
   skipped_cycles_ = 0;
+  blocked_streak_ = 0;
+  streak_traffic_ = traffic();
   last_deadlock_.reset();
 }
 
@@ -87,20 +89,54 @@ void CoSimEngine::tick_hardware(Cycle cycles) {
   }
 }
 
-iss::StepResult CoSimEngine::debug_step() {
-  const iss::StepResult result = cpu_.step();
-  tick_hardware(result.cycles);
-  return result;
+// Inline so that run()'s streak locals stay in registers through its
+// loop instead of living at an address this call writes through.
+inline DebugStep CoSimEngine::precise_step(Cycle& blocked, u64& traffic) {
+  DebugStep step{cpu_.step()};
+  // Keep the hardware clock in lock step with the processor clock.
+  tick_hardware(step.cycles);
+  if (step.event == iss::Event::kRetired) {
+    blocked = 0;
+    traffic = this->traffic();
+  } else if (step.event == iss::Event::kFslStall) {
+    if (const u64 now = this->traffic(); now != traffic) {
+      blocked = 0;
+      traffic = now;
+    } else if (++blocked >= deadlock_threshold_) {
+      step.deadlock = true;
+      report_deadlock(blocked);
+    }
+  }
+  return step;
+}
+
+void CoSimEngine::report_deadlock(Cycle blocked) {
+  last_deadlock_ = diagnose_deadlock(cpu_, bridge_.hub(), blocked);
+  if (trace_bus_ != nullptr && trace_bus_->enabled()) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kDeadlock;
+    event.cycle = cpu_.cycle();
+    event.cycles = blocked;
+    event.channel = last_deadlock_->channel.empty()
+                        ? nullptr
+                        : last_deadlock_->channel.c_str();
+    trace_bus_->emit(event);
+  }
+}
+
+DebugStep CoSimEngine::debug_step() {
+  return precise_step(blocked_streak_, streak_traffic_);
 }
 
 StopReason CoSimEngine::run(Cycle max_cycles, std::optional<Addr> stop_pc) {
-  Cycle blocked_streak = 0;
-  u64 last_traffic = bridge_.stats().words_to_hw +
-                     bridge_.stats().words_from_hw;
+  // The streak stays in locals for the loop and is written back on exit.
+  Cycle blocked = blocked_streak_;
+  u64 traffic = streak_traffic_;
+  StopReason reason = StopReason::kCycleLimit;
   while (!cpu_.halted() && cpu_.cycle() < max_cycles) {
     if (stop_pc) {
       // A batch could run past the stop PC: stay on the precise path.
-      if (cpu_.pc() == *stop_pc) return StopReason::kCycleLimit;
+      if (cpu_.pc() == *stop_pc) break;
     } else if (cpu_.fast_path_available()) {
       // Multi-cycle quantum: run the CPU ahead through code that cannot
       // touch the FSL interface, then advance the hardware model by the
@@ -111,60 +147,46 @@ StopReason CoSimEngine::run(Cycle max_cycles, std::optional<Addr> stop_pc) {
       const iss::BatchResult batch = cpu_.run_batch(max_cycles, true);
       if (batch.cycles != 0) {
         tick_hardware(batch.cycles);
-        blocked_streak = 0;
-        last_traffic = bridge_.stats().words_to_hw +
-                       bridge_.stats().words_from_hw;
+        blocked = 0;
+        traffic = this->traffic();
       }
-      if (batch.stop == iss::BatchStop::kHalted) return StopReason::kHalted;
-      if (batch.stop == iss::BatchStop::kIllegal) return StopReason::kIllegal;
+      if (batch.stop == iss::BatchStop::kHalted) {
+        reason = StopReason::kHalted;
+        break;
+      }
+      if (batch.stop == iss::BatchStop::kIllegal) {
+        reason = StopReason::kIllegal;
+        break;
+      }
       if (batch.stop == iss::BatchStop::kBudget) continue;  // loop exits
       // kFslPending (or kPrecise): the hardware is at cycle parity; the
       // next instruction takes the precise lock-step path below.
     }
-    const iss::StepResult result = cpu_.step();
-    // Keep the hardware clock in lock step with the processor clock.
-    tick_hardware(result.cycles);
-    switch (result.event) {
-      case iss::Event::kHalted:
-        return StopReason::kHalted;
-      case iss::Event::kIllegal:
-        return StopReason::kIllegal;
-      case iss::Event::kFslStall: {
-        const u64 traffic = bridge_.stats().words_to_hw +
-                            bridge_.stats().words_from_hw;
-        if (traffic == last_traffic) {
-          if (++blocked_streak >= deadlock_threshold_) {
-            last_deadlock_ =
-                diagnose_deadlock(cpu_, bridge_.hub(), blocked_streak);
-            if (trace_bus_ != nullptr && trace_bus_->enabled()) {
-              obs::TraceEvent event;
-              event.kind = obs::EventKind::kDeadlock;
-              event.cycle = cpu_.cycle();
-              event.cycles = blocked_streak;
-              event.channel = last_deadlock_->channel.empty()
-                                  ? nullptr
-                                  : last_deadlock_->channel.c_str();
-              trace_bus_->emit(event);
-            }
-            return StopReason::kDeadlock;
-          }
-        } else {
-          blocked_streak = 0;
-          last_traffic = traffic;
-        }
-        break;
-      }
-      case iss::Event::kRetired:
-        blocked_streak = 0;
-        last_traffic = bridge_.stats().words_to_hw +
-                       bridge_.stats().words_from_hw;
-        break;
+    const DebugStep step = precise_step(blocked, traffic);
+    if (step.deadlock) {
+      reason = StopReason::kDeadlock;
+      break;
+    }
+    if (step.event == iss::Event::kHalted) {
+      reason = StopReason::kHalted;
+      break;
+    }
+    if (step.event == iss::Event::kIllegal) {
+      reason = StopReason::kIllegal;
+      break;
     }
   }
-  return cpu_.halted() ? StopReason::kHalted : StopReason::kCycleLimit;
+  blocked_streak_ = blocked;
+  streak_traffic_ = traffic;
+  if (reason == StopReason::kCycleLimit && cpu_.halted()) {
+    return StopReason::kHalted;
+  }
+  return reason;
 }
 
 void CoSimEngine::save_state(ckpt::Writer& writer) const {
+  writer.write_u64(blocked_streak_);
+  writer.write_u64(streak_traffic_);
   writer.write_bool(hardware_ != nullptr);
   if (hardware_ == nullptr) return;
   hardware_->save_state(writer);
@@ -176,6 +198,8 @@ void CoSimEngine::save_state(ckpt::Writer& writer) const {
 
 bool CoSimEngine::load_state(ckpt::Reader& reader) {
   last_deadlock_.reset();
+  blocked_streak_ = reader.read_u64();
+  streak_traffic_ = reader.read_u64();
   if (reader.read_bool() != (hardware_ != nullptr)) return false;
   if (hardware_ == nullptr) return reader.ok();
   if (!hardware_->load_state(reader)) return false;

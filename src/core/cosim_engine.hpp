@@ -85,6 +85,13 @@ struct DeadlockDiagnosis {
                                                   const fsl::FslHub& hub,
                                                   Cycle blocked_cycles);
 
+/// One debugger step: the processor's step result, and whether the step
+/// completed the deadlock streak — the engine then reports kDeadlock
+/// (diagnosis and trace event) exactly as run() would at that step.
+struct DebugStep : iss::StepResult {
+  bool deadlock = false;
+};
+
 class CoSimEngine {
  public:
   CoSimEngine(iss::Processor& cpu, sysgen::Model& hardware, fsl::FslHub& hub)
@@ -124,11 +131,12 @@ class CoSimEngine {
   /// A no-op without a hardware model.
   void tick_hardware(Cycle cycles);
 
-  /// One precise lock-step unit for a debugger: step the processor once
-  /// and bring the hardware model to cycle parity, exactly as run()'s
-  /// precise path does. Interleaving debug_step() with run() keeps every
-  /// statistic identical to an uninterrupted run over the same cycles.
-  iss::StepResult debug_step();
+  /// One precise lock-step unit for a debugger: run()'s precise step —
+  /// step the processor once, bring the hardware model to cycle parity
+  /// and feed the deadlock streak. Interleaving debug_step() with run()
+  /// keeps every statistic, and the cycle a deadlock is reported at,
+  /// identical to an uninterrupted run over the same cycles.
+  DebugStep debug_step();
 
   [[nodiscard]] CoSimStats stats() const;
 
@@ -140,7 +148,9 @@ class CoSimEngine {
   }
 
   /// Deadlock heuristic: how many consecutive blocked processor cycles
-  /// with zero FIFO movement before run() gives up.
+  /// with zero FIFO movement before run() (or debug_step()) gives up.
+  /// The streak is engine state: it carries across run() calls, debugger
+  /// steps and checkpoints, so where a run is cut never moves the stop.
   void set_deadlock_threshold(Cycle threshold) noexcept {
     deadlock_threshold_ = threshold;
   }
@@ -165,16 +175,29 @@ class CoSimEngine {
   /// timestamps).
   void set_trace_bus(obs::TraceBus* bus) noexcept { trace_bus_ = bus; }
 
-  /// Checkpoint the hardware side: a has-hardware byte, then the model,
-  /// the engine's own counters and the bridge (the CPU and hub are
-  /// serialized by the owner — see DESIGN.md §11). The deadlock
-  /// diagnosis is diagnostic output, not state: it is cleared on
-  /// restore. Deadlock/quiescence thresholds are configuration and are
-  /// not captured.
+  /// Checkpoint the engine: the deadlock streak, then a has-hardware
+  /// byte, then the model, the engine's own counters and the bridge (the
+  /// CPU and hub are serialized by the owner — see DESIGN.md §11). The
+  /// deadlock diagnosis is diagnostic output, not state: it is cleared
+  /// on restore. Deadlock/quiescence thresholds are configuration and
+  /// are not captured.
   void save_state(ckpt::Writer& writer) const;
   [[nodiscard]] bool load_state(ckpt::Reader& reader);
 
  private:
+  /// FIFO words moved across the bridge so far (both directions).
+  [[nodiscard]] u64 traffic() const noexcept {
+    return bridge_.stats().words_to_hw + bridge_.stats().words_from_hw;
+  }
+  /// run()'s precise path and debug_step(): one processor step, the
+  /// hardware brought to parity, and the deadlock streak (`blocked`,
+  /// reset at bridge traffic count `traffic`) fed — reporting the
+  /// deadlock when the streak reaches the threshold. run() passes locals
+  /// it writes back on exit, debug_step() the members.
+  DebugStep precise_step(Cycle& blocked, u64& traffic);
+  /// Record the diagnosis and emit the trace event of a deadlock stop.
+  void report_deadlock(Cycle blocked);
+
   iss::Processor& cpu_;
   sysgen::Model* hardware_;  ///< null for a software-only core
   FslBridge bridge_;
@@ -183,6 +206,10 @@ class CoSimEngine {
   Cycle quiescence_window_ = 0;
   Cycle idle_streak_ = 0;
   Cycle skipped_cycles_ = 0;
+  /// Consecutive blocked cycles with no FIFO movement, and the traffic
+  /// count at which the streak last reset.
+  Cycle blocked_streak_ = 0;
+  u64 streak_traffic_ = 0;
   obs::TraceBus* trace_bus_ = nullptr;
   std::optional<DeadlockDiagnosis> last_deadlock_;
 };

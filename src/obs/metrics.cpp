@@ -90,13 +90,6 @@ void MetricsRegistry::on_event(const TraceEvent& event) {
   }
 }
 
-void MetricsRegistry::flush() {
-  if (stall_run_ != 0) {
-    data_.histograms["cpu.stall_run"].record(stall_run_);
-    stall_run_ = 0;
-  }
-}
-
 void Histogram::save_state(ckpt::Writer& writer) const {
   writer.write_u64(count_);
   writer.write_u64(sum_);

@@ -73,8 +73,6 @@ struct MetricsSnapshot {
 class MetricsRegistry : public TraceSink {
  public:
   void on_event(const TraceEvent& event) override;
-  /// Closes the in-flight stall run so its length is counted.
-  void flush() override;
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

@@ -100,36 +100,6 @@ Expected<SessionConfig> session_config_from_json(
   return config;
 }
 
-std::string stats_text(const sim::SimSystem& system) {
-  const core::CoSimStats s = system.stats();
-  std::string out;
-  out += "cycles " + std::to_string(s.cycles);
-  out += "\ninstructions " + std::to_string(s.instructions);
-  out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
-  out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
-  out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
-  out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
-  out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
-  const iss::DbtStats dbt = system.dbt_stats();
-  out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
-  out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
-  out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
-  out += "\ndbt_fast_path_instructions " + std::to_string(dbt.dbt_instructions);
-  if (system.core_count() > 1) {
-    for (std::size_t i = 0; i < system.core_count(); ++i) {
-      const core::CoSimStats cs = system.core_stats(i);
-      const std::string& name = system.core_name(i);
-      out += "\ncore." + name + ".cycles " + std::to_string(cs.cycles);
-      out += "\ncore." + name + ".instructions " +
-             std::to_string(cs.instructions);
-      out += "\ncore." + name + ".fsl_stall_cycles " +
-             std::to_string(cs.fsl_stall_cycles);
-    }
-  }
-  out += "\n";
-  return out;
-}
-
 Expected<std::shared_ptr<Session>> Session::create(
     u64 id, SessionConfig config, std::unique_ptr<SessionJournal> journal) {
   using Failure = Expected<std::shared_ptr<Session>>;
@@ -213,41 +183,36 @@ std::string Session::run_async(Cycle max_cycles) {
   reap_worker();
   has_run_ = true;
   pause_requested_.store(false, std::memory_order_relaxed);
-  deadline_exceeded_.store(false, std::memory_order_relaxed);
-  run_deadline_.reset();
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   if (config_.deadline_ms != 0) {
-    run_deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(config_.deadline_ms);
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(config_.deadline_ms);
   }
   state_ = SessionState::kRunning;
   journal_event(journal_.get(), id_, "running", cached_cycles_);
   publish_state("running", cached_cycles_, {});
-  worker_ = std::thread([this, max_cycles] { worker_run(max_cycles); });
+  worker_ = std::thread(
+      [this, max_cycles, deadline] { worker_run(max_cycles, deadline); });
   return {};
 }
 
-void Session::worker_run(Cycle max_cycles) {
+void Session::worker_run(
+    Cycle max_cycles,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   // Exclusive owner of system_ until the state flips back to idle.
   core::StopReason reason = core::StopReason::kCycleLimit;
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    deadline = run_deadline_;
-  }
   std::string expired;  // non-empty: [srv-deadline] terminal teardown
   while (true) {
     const Cycle current = system_->stats().cycles;
     if (current >= max_cycles) break;
     // Supervision, on the quantum boundary: the lifetime cycle budget
-    // and the wall-clock deadline (checked here and flagged by the
-    // manager's watchdog, which covers long quanta).
+    // and the wall-clock deadline.
     if (config_.max_cycles != 0 && current >= config_.max_cycles) {
       expired = "[srv-deadline] cycle budget exhausted (max_cycles=" +
                 std::to_string(config_.max_cycles) + ")";
       break;
     }
-    if (deadline_exceeded_.load(std::memory_order_relaxed) ||
-        (deadline && std::chrono::steady_clock::now() >= *deadline)) {
+    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
       expired = "[srv-deadline] wall-clock deadline exceeded (deadline_ms=" +
                 std::to_string(config_.deadline_ms) + ")";
       break;
@@ -384,14 +349,6 @@ std::string Session::adopt_recovery(const JournalCheckpoint& record) {
   journal_has_checkpoint_ = true;
   publish_state("recovered", cached_cycles_, {});
   return {};
-}
-
-void Session::poll_supervision(std::chrono::steady_clock::time_point now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == SessionState::kRunning && run_deadline_ &&
-      now >= *run_deadline_) {
-    deadline_exceeded_.store(true, std::memory_order_relaxed);
-  }
 }
 
 void Session::drain(std::chrono::steady_clock::time_point deadline) {

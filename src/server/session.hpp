@@ -13,12 +13,12 @@
 // state back to idle under the same mutex, so the handover is a proper
 // happens-before edge.
 //
-// Determinism: control points (pause, kill, metrics records) land on
-// control-quantum boundaries of run(), which has the same semantics as
-// batch checkpoint_every chunking — simulated results are identical to
-// an unchunked run (the deadlock blocked-streak counters restart per
-// chunk, same caveat as DESIGN.md §11). Telemetry is sink-only, so
-// subscribing, lagging or disconnecting clients cannot perturb results.
+// Determinism: control points (pause, kill, deadlines, metrics records)
+// land on control-quantum boundaries of run(), which has the same
+// semantics as batch checkpoint_every chunking — simulated results,
+// deadlock stops included, are identical to an unchunked run. Telemetry
+// is sink-only, so subscribing, lagging or disconnecting clients cannot
+// perturb results.
 #pragma once
 
 #include <atomic>
@@ -90,11 +90,8 @@ enum class SessionState : u8 { kIdle, kRunning, kDebug, kKilled };
   return "?";
 }
 
-/// The `monitor stats` text of a system, plus per-core breakdown lines
-/// ("core.<name>.cycles N" ...) on multi-core machines. Shared by the
-/// GET /sessions/N/stats endpoint and batch-equivalence tests, so the
-/// two render identically by construction.
-[[nodiscard]] std::string stats_text(const sim::SimSystem& system);
+/// The GET /sessions/N/stats page: sim::stats_text, by its older name.
+using sim::stats_text;
 
 class Session {
  public:
@@ -144,16 +141,12 @@ class Session {
   /// session (recovery path; call before any run). "" on success.
   [[nodiscard]] std::string adopt_recovery(const JournalCheckpoint& record);
 
-  /// Called (off this session's mutex) when the watchdog/deadline path
-  /// kills the session from its own worker thread, so the manager can
-  /// release its admission budget while keeping it visible in the pool.
+  /// Called (off this session's mutex) when a deadline kills the
+  /// session from its own worker thread, so the manager can release its
+  /// admission budget while keeping it visible in the pool.
   void set_on_expire(std::function<void(u64)> on_expire) {
     on_expire_ = std::move(on_expire);
   }
-
-  /// Watchdog hook: flag a running session whose wall-clock deadline
-  /// has passed; the worker kills it at the next quantum boundary.
-  void poll_supervision(std::chrono::steady_clock::time_point now);
 
   /// Graceful-drain step: publish a terminal {"stream":"draining"}
   /// record, stop any run at the next quantum boundary (waiting no
@@ -179,8 +172,11 @@ class Session {
   Session(u64 id, SessionConfig config)
       : id_(id), config_(std::move(config)), hub_(config_.stream_queue) {}
 
-  /// Chunked run loop (worker thread).
-  void worker_run(Cycle max_cycles);
+  /// Chunked run loop (worker thread); `deadline` is the wall-clock
+  /// deadline of this run, if the session has one.
+  void worker_run(
+      Cycle max_cycles,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
   /// Accept-and-serve RSP loop (worker thread).
   void worker_debug(rsp::TcpListener listener);
   /// Worker thread, owning system_: persist a checkpoint record (cycle,
@@ -216,12 +212,6 @@ class Session {
   std::thread worker_;
   std::atomic<bool> pause_requested_{false};
   std::atomic<bool> kill_requested_{false};
-  /// Watchdog verdict: wall-clock deadline passed while running. The
-  /// worker turns it into a [srv-deadline] kill at the next boundary.
-  std::atomic<bool> deadline_exceeded_{false};
-  /// Deadline of the run in flight (mutex_): set by run_async when
-  /// config_.deadline_ms != 0.
-  std::optional<std::chrono::steady_clock::time_point> run_deadline_;
   /// Set (under mutex_) by the first kill() before it releases the lock
   /// to join the worker. Guards the window between that release and the
   /// final state_ = kKilled: run_async/start_debug must not spawn a new

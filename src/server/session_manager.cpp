@@ -25,21 +25,6 @@ unsigned weigh(const SessionConfig& config) {
 
 }  // namespace
 
-SessionManager::~SessionManager() {
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
-void SessionManager::watchdog_loop() {
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const auto now = std::chrono::steady_clock::now();
-    for (const std::shared_ptr<Session>& session : list()) {
-      session->poll_supervision(now);
-    }
-  }
-}
-
 Expected<std::shared_ptr<Session>> SessionManager::create(
     SessionConfig config) {
   using Failure = Expected<std::shared_ptr<Session>>;
@@ -148,7 +133,7 @@ SessionManager::RecoveryReport SessionManager::recover() {
   for (JournalStore::ScanEntry& entry : entries) {
     const std::string tag = "session " + std::to_string(entry.id);
     if (entry.last_event == "deadline") {
-      // Terminal: the watchdog killed it; nothing to resume.
+      // Terminal: a deadline killed it; nothing to resume.
       (void)store_->remove_session(entry.id);
       report.log.push_back(tag + ": terminal (" + entry.last_event +
                            "), journal removed");

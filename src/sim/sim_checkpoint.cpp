@@ -5,10 +5,12 @@
 //   u64 core count          shape check against the built system
 //   per core, in machine order:
 //     cpu, memory, hub      component save_state payloads
-//     engine                bool has hardware + hardware model, engine
-//                           counters and bridge (iff it has hardware)
+//     engine                deadlock streak, bool has hardware +
+//                           hardware model, engine counters and bridge
+//                           (iff it has hardware)
 //     bool has opb          + bus and peripheral payloads (iff attached)
-//   bool has machine engine + round progress (iff multi-core)
+//   bool has machine engine + round progress and stall streak (iff
+//                           multi-core)
 //
 // The fingerprint covers everything structural (core names, programs,
 // peripherals, links, FIFO depth), so a stale or foreign image fails

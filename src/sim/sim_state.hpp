@@ -77,7 +77,6 @@ struct SimSystem::State {
   std::size_t stop_core = 0;   ///< culprit of the last terminal stop
   std::size_t gdb_core = 0;    ///< Builder::gdb_core
   std::size_t fault_core = 0;  ///< FaultPlan::core of the armed plan
-  Cycle deadlock_threshold = 100'000;
   double last_run_wall_seconds = 0.0;
   std::optional<u16> gdb_port;                ///< Builder::gdb_server
   std::unique_ptr<fault::Injector> injector;  ///< null = fault-free

@@ -412,13 +412,12 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // through ManyCoreEngine::debug_step so cross-links stay live.
   State::Core& debugged = *state_->cores[state_->gdb_core];
   iss::Debugger debugger(debugged.cpu);
-  rsp::CoSimTarget target(debugger, &*debugged.engine);
-  target.set_stall_threshold(state_->deadlock_threshold);
-  if (state_->machine_engine) {
-    target.set_step_fn([this] {
+  rsp::CoSimTarget target(debugger, [this, &debugged]() -> core::DebugStep {
+    if (state_->machine_engine) {
       return state_->machine_engine->debug_step(state_->gdb_core);
-    });
-  }
+    }
+    return debugged.engine->debug_step();
+  });
   // System-level monitor verbs layered over the debugger's vocabulary,
   // so `monitor metrics` / `monitor stats` work from a gdb prompt.
   target.set_monitor_extra([this](std::string_view line) -> std::string {
@@ -466,24 +465,7 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
       }
       return "restore: restored from " + path;
     }
-    if (line == "stats") {
-      const core::CoSimStats s = stats();
-      std::string out;
-      out += "cycles " + std::to_string(s.cycles);
-      out += "\ninstructions " + std::to_string(s.instructions);
-      out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
-      out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
-      out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
-      out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
-      out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
-      const iss::DbtStats dbt = dbt_stats();
-      out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
-      out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
-      out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
-      out += "\ndbt_fast_path_instructions " +
-             std::to_string(dbt.dbt_instructions);
-      return out;
-    }
+    if (line == "stats") return stats_text(*this);
     return {};
   });
 
@@ -495,6 +477,36 @@ Expected<rsp::SessionEnd> SimSystem::serve_gdb_on(rsp::Transport& transport,
   // sinks durable exactly as run() does.
   for (auto& core : state_->cores) core->trace_bus.flush();
   return end;
+}
+
+std::string stats_text(const SimSystem& system) {
+  const core::CoSimStats s = system.stats();
+  std::string out;
+  out += "cycles " + std::to_string(s.cycles);
+  out += "\ninstructions " + std::to_string(s.instructions);
+  out += "\nfsl_stall_cycles " + std::to_string(s.fsl_stall_cycles);
+  out += "\nhw_cycles_stepped " + std::to_string(s.hw_cycles_stepped);
+  out += "\nhw_cycles_skipped " + std::to_string(s.hw_cycles_skipped);
+  out += "\nwords_to_hw " + std::to_string(s.bridge.words_to_hw);
+  out += "\nwords_from_hw " + std::to_string(s.bridge.words_from_hw);
+  const iss::DbtStats dbt = system.dbt_stats();
+  out += "\ndbt_blocks_translated " + std::to_string(dbt.blocks_translated);
+  out += "\ndbt_block_dispatches " + std::to_string(dbt.block_dispatches);
+  out += "\ndbt_smc_retirements " + std::to_string(dbt.smc_retirements);
+  out += "\ndbt_fast_path_instructions " + std::to_string(dbt.dbt_instructions);
+  if (system.core_count() > 1) {
+    for (std::size_t i = 0; i < system.core_count(); ++i) {
+      const core::CoSimStats cs = system.core_stats(i);
+      const std::string& name = system.core_name(i);
+      out += "\ncore." + name + ".cycles " + std::to_string(cs.cycles);
+      out += "\ncore." + name + ".instructions " +
+             std::to_string(cs.instructions);
+      out += "\ncore." + name + ".fsl_stall_cycles " +
+             std::to_string(cs.fsl_stall_cycles);
+    }
+  }
+  out += "\n";
+  return out;
 }
 
 Addr SimSystem::symbol(const std::string& name) const {
@@ -697,7 +709,6 @@ Expected<SimSystem> SimSystem::Builder::build() {
 
   // 1. Software and per-core skeletons (program, memory, FIFOs, CPU).
   auto state = std::make_unique<State>();
-  state->deadlock_threshold = deadlock_threshold_;
   state->gdb_port = gdb_port_;
   state->checkpoint_interval = checkpoint_interval_;
   state->checkpoint_prefix = checkpoint_prefix_;

@@ -322,6 +322,13 @@ class SimSystem {
   std::unique_ptr<State> state_;
 };
 
+/// The stats page of a system: the aggregate counters of stats() and
+/// dbt_stats(), one "name value" line each, plus per-core lines
+/// ("core.<name>.cycles N" ...) on multi-core machines. The RSP
+/// `monitor stats` verb and the server's GET /sessions/N/stats both
+/// render it, so the two read identically by construction.
+[[nodiscard]] std::string stats_text(const SimSystem& system);
+
 /// Builder for SimSystem. Every setter returns *this for chaining;
 /// build() consumes the builder and reports all configuration problems
 /// through Expected instead of throwing.
@@ -408,11 +415,10 @@ class SimSystem::Builder {
   Builder& gdb_server(u16 port);
 
   /// Write a checkpoint every `interval` simulated cycles during run():
-  /// "<path_prefix>NNNNNN.ckpt", numbered from 0. The run is chunked at
-  /// checkpoint boundaries, which restarts the deadlock-streak counters
-  /// there (see DESIGN.md §11); cycle counts and results are otherwise
-  /// identical, with or without a fault plan. 0 disables periodic
-  /// checkpoints.
+  /// "<path_prefix>NNNNNN.ckpt", numbered from 0. The boundaries are
+  /// stop points of run(); cycle counts, results and deadlock stops are
+  /// identical to an unchunked run, with or without a fault plan. 0
+  /// disables periodic checkpoints.
   Builder& checkpoint_every(Cycle interval, std::string path_prefix);
 
   /// Assemble, construct and wire everything; leaves the system reset at

@@ -531,6 +531,44 @@ TEST(CkptSystem, MidQuantumDebuggerStopRoundTrips) {
   expect_same_farm(finish_farm(b), want, 1);
 }
 
+// An in-flight stall run is registry state that snapshot() and
+// metrics_state() carry, so neither a run() boundary nor a restore from
+// an image plus its metrics state may split it: the farm's metrics read
+// the same whole, chunked and restored.
+TEST(CkptSystem, FarmMetricsAreCutAndRestoreInvariant) {
+  const machine::MachineDesc desc = farm_desc();
+  const auto build = [&desc] {
+    auto built = sim::SimSystem::Builder().machine(desc).metrics().build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    return std::move(built).value();
+  };
+  sim::SimSystem whole = build();
+  ASSERT_EQ(whole.run(), core::StopReason::kHalted);
+  const std::string want = whole.metrics_snapshot().to_string();
+  ASSERT_NE(want.find("stall_run"), std::string::npos);
+
+  for (const Cycle chunk : {7u, 37u, 64u, 100u}) {
+    sim::SimSystem system = build();
+    core::StopReason reason = core::StopReason::kCycleLimit;
+    while (reason == core::StopReason::kCycleLimit) {
+      reason = system.run(system.stats().cycles + chunk);
+    }
+    EXPECT_EQ(reason, core::StopReason::kHalted) << "chunks of " << chunk;
+    EXPECT_EQ(system.metrics_snapshot().to_string(), want)
+        << "chunks of " << chunk;
+  }
+  for (const Cycle stop : {37u, 192u}) {
+    sim::SimSystem base = build();
+    ASSERT_EQ(base.run(stop), core::StopReason::kCycleLimit);
+    sim::SimSystem restored = build();
+    ASSERT_TRUE(restored.restore_image(base.snapshot()).ok);
+    ASSERT_TRUE(restored.restore_metrics_state(base.metrics_state()).ok);
+    EXPECT_EQ(restored.run(), core::StopReason::kHalted);
+    EXPECT_EQ(restored.metrics_snapshot().to_string(), want)
+        << "restored at " << stop;
+  }
+}
+
 TEST(CkptSystem, FarmImageRejectsATruncatedOrEditedFile) {
   const machine::MachineDesc desc = farm_desc();
   auto built = sim::SimSystem::Builder().machine(desc).build();

@@ -461,6 +461,64 @@ TEST(ManyCore, SteppingAHaltedCoreIsANoOp) {
   EXPECT_EQ(engine->link_words(), link_words);
 }
 
+// Debugger steps run the machine's own round loop: stepping core 0 and
+// then another core before run() must end the farm exactly as a free
+// run does — same clocks, stalls, link words and results.
+TEST(ManyCore, DebugStepsThenRunMatchAFreeRun) {
+  apps::register_machine_peripherals();
+  const auto build = [](unsigned workers) {
+    auto built =
+        SimSystem::Builder().machine(mini_farm()).workers(workers).build();
+    EXPECT_TRUE(built.ok()) << built.error();
+    return std::move(built).value();
+  };
+  const auto results = [](SimSystem& system) {
+    std::vector<Word> words;
+    for (u32 i = 0; i < 4; ++i) words.push_back(system.word_on(2, "results", i));
+    return words;
+  };
+  for (const unsigned workers : {1u, 3u}) {
+    note_lane_shortfall(workers);
+    SimSystem free_run = build(workers);
+    ASSERT_EQ(free_run.run(), core::StopReason::kHalted);
+    for (const int steps : {5, 40, 200}) {
+      for (const std::size_t other : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers, " +
+                     std::to_string(steps) + " steps of core 0 then core " +
+                     std::to_string(other));
+        SimSystem system = build(workers);
+        core::ManyCoreEngine* engine = system.machine_engine();
+        ASSERT_NE(engine, nullptr);
+        for (int i = 0; i < steps; ++i) {
+          ASSERT_NE(engine->debug_step(0).event, iss::Event::kIllegal);
+        }
+        for (int i = 0; i < steps; ++i) {
+          ASSERT_NE(engine->debug_step(other).event, iss::Event::kIllegal);
+        }
+        ASSERT_EQ(system.run(), core::StopReason::kHalted);
+        EXPECT_EQ(system.stop_core(), free_run.stop_core());
+        EXPECT_EQ(engine->link_words(),
+                  free_run.machine_engine()->link_words());
+        EXPECT_EQ(results(system), results(free_run));
+        for (std::size_t i = 0; i < system.core_count(); ++i) {
+          const core::CoSimStats got = system.core_stats(i);
+          const core::CoSimStats want = free_run.core_stats(i);
+          EXPECT_EQ(got.cycles, want.cycles) << "core " << i;
+          EXPECT_EQ(got.instructions, want.instructions) << "core " << i;
+          EXPECT_EQ(got.fsl_stall_cycles, want.fsl_stall_cycles)
+              << "core " << i;
+          EXPECT_EQ(got.hw_cycles_stepped, want.hw_cycles_stepped)
+              << "core " << i;
+          EXPECT_EQ(got.bridge.words_to_hw, want.bridge.words_to_hw)
+              << "core " << i;
+          EXPECT_EQ(got.bridge.words_from_hw, want.bridge.words_from_hw)
+              << "core " << i;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ execution-tier identity
 
 // The execution tiers must be invisible to the machine: identical

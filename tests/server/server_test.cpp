@@ -741,7 +741,7 @@ TEST(ServerSupervision, WallClockDeadlineKillsAndReleasesBudget) {
   std::shared_ptr<Session> session = created.value();
   ASSERT_EQ(session->run_async(Cycle{1} << 40), "");
 
-  // The watchdog flags the overrun; the worker kills at a boundary.
+  // The worker sees the overrun at a control-quantum boundary and kills.
   ASSERT_TRUE(wait_until_state(*session, SessionState::kKilled));
   const std::string info = session->info_json();
   EXPECT_NE(info.find("[srv-deadline]"), std::string::npos) << info;
@@ -794,6 +794,24 @@ TEST(ServerSupervision, DeadlockMapsToStructuredState) {
   const std::string info = session->info_json();
   EXPECT_NE(info.find("[srv-deadlock]"), std::string::npos) << info;
   EXPECT_NE(info.find("core cpu0"), std::string::npos) << info;
+}
+
+TEST(ServerSupervision, DeadlockSurfacesWithAQuantumBelowTheThreshold) {
+  SessionManager manager({});
+  SessionConfig config;
+  // The same starved read, cut into control quanta shorter than the
+  // 100k-cycle threshold: the deadlock streak carries across chunks.
+  config.desc = machine::MachineDesc::single_core("get r4, rfsl0\nhalt\n");
+  config.control_quantum = 30'011;
+  auto created = manager.create(std::move(config));
+  ASSERT_TRUE(created.ok()) << created.error();
+  std::shared_ptr<Session> session = created.value();
+  ASSERT_EQ(session->run_async(1'000'000), "");
+  ASSERT_TRUE(wait_until_idle(*session));
+  const std::string info = session->info_json();
+  EXPECT_NE(info.find("[srv-deadlock]"), std::string::npos) << info;
+  EXPECT_NE(info.find("core cpu0"), std::string::npos) << info;
+  EXPECT_EQ(parse_cycles(info), 100'000u) << info;
 }
 
 TEST(ServerJournal, DrainCheckpointsAndRecoveryResumes) {

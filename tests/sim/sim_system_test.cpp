@@ -5,6 +5,7 @@
 // faults fire and checkpoints land without changing the result.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -951,6 +952,125 @@ TEST(SimSystemRunLoop, CutWhileACoreIsMidInstructionKeepsTheBarrier) {
   ASSERT_TRUE(restored.restore_image(image).ok);
   ASSERT_EQ(restored.run(), core::StopReason::kHalted);
   expect_same(restored, whole, "restored at 63");
+}
+
+// ------------------------------------------------- deadlocks, any cut
+
+// The deadlock streak is engine state: a starved core must stop at the
+// same cycle, with the same diagnosis, however the run is cut — in
+// chunks shorter or longer than the threshold, at checkpoint_every
+// boundaries, or through a save/restore taken mid-stall.
+constexpr Cycle kStarvedThreshold = 2000;
+constexpr Cycle kStarvedBudget = 1'000'000;
+
+SimSystem::Builder starved_single_core() {
+  SimSystem::Builder builder;
+  builder.program(R"(
+      li  r3, 5
+    blocked:
+      get r4, rfsl0
+      halt
+  )").deadlock_threshold(kStarvedThreshold);
+  return builder;
+}
+
+SimSystem::Builder starved_two_core() {
+  machine::MachineDesc desc;
+  machine::CoreDesc producer;
+  producer.name = "producer";
+  producer.program = "halt\n";  // never feeds the link
+  machine::CoreDesc consumer;
+  consumer.name = "consumer";
+  consumer.program = "get r3, rfsl1\nhalt\n";
+  desc.cores = {producer, consumer};
+  desc.links = {{"producer", 2, "consumer", 1}};
+  SimSystem::Builder builder;
+  builder.machine(std::move(desc)).deadlock_threshold(kStarvedThreshold);
+  return builder;
+}
+
+struct DeadlockStop {
+  core::StopReason reason = core::StopReason::kCycleLimit;
+  std::vector<Cycle> cycles;  ///< per core
+  std::size_t stop_core = 0;
+  std::string diagnosis;
+};
+
+SimSystem build_from(SimSystem::Builder builder) {
+  auto built = builder.build();
+  EXPECT_TRUE(built.ok()) << built.error();
+  return std::move(built).value();
+}
+
+// Run `system` until it stops: in one run() when `chunk` is 0, else in
+// run(now + chunk) calls as a hosted session does.
+DeadlockStop run_until_stop(SimSystem& system, Cycle chunk) {
+  DeadlockStop stop;
+  if (chunk == 0) {
+    stop.reason = system.run(kStarvedBudget);
+  } else {
+    do {
+      stop.reason = system.run(
+          std::min(system.stats().cycles + chunk, kStarvedBudget));
+    } while (stop.reason == core::StopReason::kCycleLimit &&
+             system.stats().cycles < kStarvedBudget);
+  }
+  for (std::size_t i = 0; i < system.core_count(); ++i) {
+    stop.cycles.push_back(system.core_stats(i).cycles);
+  }
+  stop.stop_core = system.stop_core();
+  if (const auto diagnosis = system.deadlock_diagnosis()) {
+    stop.diagnosis = diagnosis->to_string();
+  }
+  return stop;
+}
+
+void expect_same_stop(const DeadlockStop& got, const DeadlockStop& want,
+                      const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(core::stop_reason_name(got.reason),
+            std::string(core::stop_reason_name(want.reason)));
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.stop_core, want.stop_core);
+  EXPECT_EQ(got.diagnosis, want.diagnosis);
+}
+
+void expect_deadlock_cut_invariant(const std::string& name,
+                                   const MakeBuilder& make) {
+  SimSystem reference = build_from(make());
+  const DeadlockStop whole = run_until_stop(reference, 0);
+  ASSERT_EQ(whole.reason, core::StopReason::kDeadlock) << name;
+  ASSERT_FALSE(whole.diagnosis.empty()) << name;
+
+  for (const Cycle chunk : {Cycle{700}, Cycle{2047}, Cycle{4999}}) {
+    SimSystem system = build_from(make());
+    expect_same_stop(run_until_stop(system, chunk), whole,
+                     name + ", chunks of " + std::to_string(chunk));
+  }
+  const ScratchDir dir(name + "_deadlock");
+  for (const Cycle interval : {Cycle{900}, Cycle{3000}}) {
+    SimSystem::Builder builder = make();
+    builder.checkpoint_every(
+        interval, dir.prefix("every" + std::to_string(interval) + "_"));
+    SimSystem system = build_from(std::move(builder));
+    expect_same_stop(run_until_stop(system, 0), whole,
+                     name + ", checkpoint_every " + std::to_string(interval));
+  }
+  SimSystem base = build_from(make());
+  ASSERT_EQ(base.run(1500), core::StopReason::kCycleLimit) << name;
+  SimSystem restored = build_from(make());
+  const Status status = restored.restore_image(base.snapshot());
+  ASSERT_TRUE(status.ok) << status.message;
+  expect_same_stop(run_until_stop(restored, 0), whole,
+                   name + ", restored mid-stall at 1500");
+}
+
+TEST(SimSystemRunLoop, StarvedCoreDeadlockIsCutAndRestoreInvariant) {
+  expect_deadlock_cut_invariant("starved_single_core", starved_single_core);
+}
+
+TEST(SimSystemRunLoop, StarvedMachineDeadlockIsCutAndRestoreInvariant) {
+  expect_deadlock_cut_invariant("starved_two_core", starved_two_core);
 }
 
 }  // namespace
