@@ -109,27 +109,26 @@ std::string RspServer::stop_reply(const StopInfo& stop) {
 
 std::string RspServer::run_target(bool step, std::optional<Addr> addr) {
   if (addr) target_.write_reg(kRegPc, *addr);
+  // A step polls between quanta too: a core starved by a live peer is
+  // no deadlock, and may ride out its stall until gdb interrupts.
   StopInfo stop;
-  if (step) {
-    stop = target_.step_one();
-  } else {
-    Cycle remaining = options_.max_resume_cycles;
-    bool first_quantum = true;
-    while (true) {
-      const Cycle quantum = std::min(options_.resume_quantum, remaining);
-      stop = target_.resume(quantum, first_quantum);
-      first_quantum = false;
-      if (stop.kind != StopInfo::Kind::kBudget) break;
-      remaining -= std::min(quantum, remaining);
-      if (remaining == 0) break;  // give up; reported as an interrupt stop
-      // Between quanta: poll the wire for gdb's Ctrl-C, turn away any
-      // newly arrived clients, and honour external cancellation.
-      reject_pending_clients();
-      drain_transport(0);
-      if (take_interrupt() || cancelled()) {
-        stop.kind = StopInfo::Kind::kBudget;  // maps to SIGINT below
-        break;
-      }
+  Cycle remaining = options_.max_resume_cycles;
+  bool first_quantum = true;
+  while (true) {
+    const Cycle quantum = std::min(options_.resume_quantum, remaining);
+    stop = step ? target_.step_one(quantum)
+                : target_.resume(quantum, first_quantum);
+    first_quantum = false;
+    if (stop.kind != StopInfo::Kind::kBudget) break;
+    remaining -= std::min(quantum, remaining);
+    if (remaining == 0) break;  // give up; reported as an interrupt stop
+    // Between quanta: poll the wire for gdb's Ctrl-C, turn away any
+    // newly arrived clients, and honour external cancellation.
+    reject_pending_clients();
+    drain_transport(0);
+    if (take_interrupt() || cancelled()) {
+      stop.kind = StopInfo::Kind::kBudget;  // maps to SIGINT below
+      break;
     }
   }
   last_stop_reply_ = stop_reply(stop);

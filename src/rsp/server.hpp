@@ -49,11 +49,12 @@ enum class SessionEnd : u8 {
 class RspServer {
  public:
   struct Options {
-    /// Simulated cycles per resume quantum; between quanta the server
-    /// polls the transport for gdb's `\x03` interrupt.
+    /// Simulated cycles per resume quantum of a continue or step;
+    /// between quanta the server polls the transport for gdb's `\x03`
+    /// interrupt.
     Cycle resume_quantum = 100'000;
-    /// Hard ceiling on one continue (safety net for runaway guests in
-    /// tests; a live session leaves it effectively unbounded).
+    /// Hard ceiling on one continue or step (safety net for runaway
+    /// guests in tests; a live session leaves it effectively unbounded).
     Cycle max_resume_cycles = ~Cycle{0};
     /// Transport poll granularity of the blocking serve() loop.
     int poll_ms = 20;
@@ -71,9 +72,10 @@ class RspServer {
   void set_busy_listener(TcpListener* listener) { busy_listener_ = listener; }
 
   /// External cancellation: when `*cancel` becomes true the session ends
-  /// (kDisconnected) at the next pump, and a running continue stops at
-  /// the next resume-quantum boundary. The flag must outlive the server.
-  /// The simulation server uses this to kill a debug-attached session.
+  /// (kDisconnected) at the next pump, and a running continue or step
+  /// stops at the next resume-quantum boundary. The flag must outlive
+  /// the server. The simulation server uses this to kill a
+  /// debug-attached session.
   void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
   /// Blocking session loop: handle packets until detach, kill or
